@@ -18,6 +18,7 @@ import sys
 import time
 
 from .errors import (
+    ConsistencyError,
     InvalidSpecError,
     NotHomogeneousError,
     NotPrimePowerError,
@@ -29,6 +30,7 @@ from .graph import graph_stats
 from .harness import (
     NOT_APPLICABLE,
     NOT_RUN,
+    _formula_for_entry,
     default_catalog,
     evaluate_entry,
     CatalogEntry,
@@ -85,6 +87,7 @@ def _cmd_show(args) -> int:
 def _cmd_reg(args) -> int:
     entry = _entry_for(args.spec)
     g = entry.graph
+    Field(args.q)  # rejects a q that is not a prime power, whatever the method
     if args.method == "all":
         report, _ = evaluate_entry(entry, args.q, with_bounds=False)
         if args.json:
@@ -107,11 +110,11 @@ def _cmd_reg(args) -> int:
     elif args.method == "sieve":
         value = regularity_sieve(g, args.q, edge=edge)
     else:
-        report, _ = evaluate_entry(entry, args.q, with_bounds=False)
-        value = report.formula
-        if value == NOT_APPLICABLE:
-            print(f"formula: NOT_APPLICABLE ({report.note})")
+        fr = _formula_for_entry(entry, args.q)
+        if not fr.applicable:
+            print(f"formula: {NOT_APPLICABLE} ({fr.reason or ''})")
             return 0
+        value = fr.value
     ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
         print(json.dumps({"spec": args.spec, "q": args.q, "method": args.method,
@@ -135,23 +138,21 @@ def _cmd_degree(args) -> int:
 def _cmd_hilbert(args) -> int:
     parsed = parse_graph_spec(args.spec)
     g = parsed.graph
+    max_d = args.max_degree
+    if max_d is not None and max_d < 0:
+        raise ParseError("--max-degree must be nonnegative")
     field = Field(args.q)
     ps = enumerate_points(g, args.q)
     target = ps.size
-    max_d = args.max_degree
+    if max_d is None:
+        values = regularity_rank(g, args.q, points=ps).values
+    else:
+        values = (hilbert_value(ps, d, field) for d in range(max_d + 1))
     reg = None
-    d = 0
-    while True:
-        h = hilbert_value(ps, d, field)
+    for d, h in enumerate(values):
         print(f"H({d}) = {h}")
         if h == target and reg is None:
             reg = d
-        if max_d is not None:
-            if d >= max_d:
-                break
-        elif reg is not None:
-            break
-        d += 1
     if reg is not None:
         print(f"regularity: {reg}  (degree {target})")
     else:
@@ -285,12 +286,13 @@ def main(argv=None) -> int:
         OverflowError,
         OSError,
         ValueError,
+        TooLargeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TooLargeError as exc:
+    except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

@@ -105,8 +105,7 @@ class Field:
 
     __slots__ = (
         "q", "p", "k", "primitive_poly", "zech_table",
-        "exp_table", "log_table", "_neg_log", "_exp_arr", "_log_arr",
-        "_zech_arr",
+        "exp_table", "log_table", "_neg_log", "_exp_arr",
     )
 
     def __init__(self, q: int, table_cap: int = TABLE_CAP):
@@ -137,8 +136,6 @@ class Field:
         # unique element of multiplicative order 2.
         self._neg_log = 0 if p == 2 else (q - 1) // 2
         self._exp_arr = None
-        self._log_arr = None
-        self._zech_arr = None
 
     @staticmethod
     def _find_primitive_poly(p, k, q):
@@ -265,18 +262,6 @@ class Field:
         if self._exp_arr is None:
             self._exp_arr = np.array(self.exp_table, dtype=np.int64)
         return self._exp_arr
-
-    @property
-    def log_array(self) -> np.ndarray:
-        if self._log_arr is None:
-            self._log_arr = np.array(self.log_table, dtype=np.int64)
-        return self._log_arr
-
-    @property
-    def zech_array(self) -> np.ndarray:
-        if self._zech_arr is None:
-            self._zech_arr = np.array(self.zech_table, dtype=np.int64)
-        return self._zech_arr
 
     def __repr__(self):
         return f"Field(q={self.q})"

@@ -345,11 +345,9 @@ def auto_witnesses(g: Multigraph, kind: str = "graph", params=()):
 
 
 def _formula_for_entry(entry: CatalogEntry, q: int):
-    stats = graph_stats(entry.graph)
-    if stats.m > 1:
-        # disconnected: the rank method is the reference value
-        return detect_closed_form(entry.graph, q)
-    if entry.kind == "graph":
+    # disconnected graphs of any family: detect_closed_form declines and
+    # the rank method is the reference value
+    if entry.kind == "graph" or graph_stats(entry.graph).m > 1:
         return detect_closed_form(entry.graph, q)
     return reg_closed_form(entry.kind, entry.params, q)
 

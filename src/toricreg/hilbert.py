@@ -6,18 +6,21 @@ the regularity is the first d where the rank reaches the number of
 points.  In the log representation the matrix build is a single integer
 matrix product: entry(point, monomial) = g**(point . exponents).
 
-Three elimination routines compute the rank:
+Two elimination routines compute the rank:
 
 * ``rank_reference`` -- textbook in-place elimination in the Zech
   representation.  The simple spec of the method; quadratic-times-cols
-  in pure Python, so only usable for small matrices.  The other two
-  paths are cross-checked against it in the tests.
-* ``_rank_gather`` -- the same elimination vectorised with numpy using
-  the Zech table for addition; works for every prime power q.
-* ``_rank_prime_blocked`` -- for prime q, blocked elimination mod p with
+  in pure Python, so only usable for small matrices.  The tests
+  cross-check the production path against it.
+* ``_rank_prime_blocked`` -- blocked elimination mod a prime p with
   float matmul updates (entries stay below block*(p-1)**2 + p, which is
   exact in float32 for small p and in float64 in general).  This is
   what makes the large bipartite sweeps run in seconds instead of hours.
+
+``gf_rank`` serves every q = p**k with the blocked kernel through the
+regular representation: each entry becomes the k x k matrix over GF(p)
+of multiplication by it, and the GF(p) rank of the result is k times
+the GF(q) rank.
 
 Duplicate columns never change a rank, so columns are deduplicated by
 content before elimination.
@@ -187,63 +190,44 @@ def _rank_prime_blocked(values: np.ndarray, p: int, block: int = 256) -> int:
     return r
 
 
-def _vadd_log(a: np.ndarray, b: np.ndarray, zech: np.ndarray, qm1: int) -> np.ndarray:
-    """Elementwise field addition of log-representation arrays."""
-    d = (b - a) % qm1
-    z = zech[d]
-    out = np.where(z < 0, -1, (a + z) % qm1)
-    out = np.where(a < 0, b, out)
-    out = np.where(b < 0, a, out)
-    return out
+def _multiplication_blocks(field: Field) -> np.ndarray:
+    """Regular representation of GF(q) over GF(p) as a (q, k, k) table.
 
-
-def _rank_gather(E: np.ndarray, field: Field) -> int:
-    """Elimination in the log representation, vectorised row updates via
-    the Zech table.  Works for any prime power q."""
-    W = E.astype(np.int64, copy=True)
-    qm1 = field.q - 1
-    zech = field.zech_array
-    negl = field.neg(field.one)
-    m, n = W.shape
-    if m == 0 or n == 0:
-        return 0
-    r = 0
-    for c in range(n):
-        col = W[r:, c]
-        nz = np.nonzero(col >= 0)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            W[[r, i], :] = W[[i, r], :]
-        piv = int(W[r, c])
-        below = W[r + 1 :, c]
-        prow = W[r, c + 1 :]
-        if below.size and prow.size:
-            # multiplier of row i is -W[i,c]/pivot; a -1 term is the
-            # additive identity, so zero-factor rows pass through vadd
-            lm = (below + negl - piv) % qm1
-            term = (lm[:, None] + prow[None, :]) % qm1
-            term = np.where((below[:, None] < 0) | (prow[None, :] < 0), -1, term)
-            W[r + 1 :, c + 1 :] = _vadd_log(W[r + 1 :, c + 1 :], term, zech, qm1)
-        r += 1
-        if r == m:
-            break
-    return r
+    Entry e is the matrix of multiplication by g**e in the basis 1, g,
+    ..., g**(k-1): its column j holds the base-p digits of g**(e+j).
+    The last entry is the zero matrix, which is where the index ZERO = -1
+    lands.  Digits are stored in the smallest signed dtype that holds p.
+    """
+    qm1, p, k = field.q - 1, field.p, field.k
+    shifted = field.exp_array[(np.arange(qm1)[:, None] + np.arange(k)) % qm1]
+    blocks = np.zeros((qm1 + 1, k, k), dtype=np.min_scalar_type(-p))
+    blocks[:qm1] = shifted[:, None, :] // p ** np.arange(k)[:, None] % p
+    return blocks
 
 
 def gf_rank(cols: np.ndarray, field: Field) -> int:
     """Rank over GF(q) of a log-representation matrix (ZERO entries
-    allowed as -1)."""
+    allowed as -1).
+
+    Each entry becomes its k x k multiplication block over GF(p).  That
+    map is an injective ring homomorphism, so it carries a rank-r
+    factorisation over GF(q) to one of rank k*r over GF(p).
+    """
     cols = np.asarray(cols)
     if cols.size == 0:
         return 0
-    if field.k == 1:
-        idx = np.where(cols < 0, 0, cols.astype(np.int64))
-        vals = field.exp_array[idx]
-        vals[cols < 0] = 0
-        return _rank_prime_blocked(vals, field.p)
-    return _rank_gather(cols.astype(np.int64), field)
+    m, n = cols.shape
+    k = field.k
+    blocks = _multiplication_blocks(field)[cols]
+    rank_p = _rank_prime_blocked(
+        blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k), field.p
+    )
+    if rank_p % k:
+        raise ConsistencyError(
+            f"GF({field.p}) rank {rank_p} of the regular representation "
+            f"is not a multiple of {k}"
+        )
+    return rank_p // k
 
 
 # -- Hilbert function and regularity -------------------------------------

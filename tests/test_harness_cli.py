@@ -4,7 +4,12 @@ import json
 import pytest
 
 from toricreg.cli import main
-from toricreg.errors import InvalidSpecError, ParseError
+from toricreg.errors import (
+    CeilingExceededError,
+    ConsistencyError,
+    InvalidSpecError,
+    ParseError,
+)
 from toricreg.harness import (
     CSV_HEADER,
     CatalogEntry,
@@ -240,13 +245,26 @@ def test_cli_reg_json_roundtrip(capsys):
     assert payload["rank"] == 1 and payload["agree"] is True
 
 
-def test_cli_reg_single_methods(capsys):
+def test_cli_reg_single_methods(capsys, monkeypatch, tmp_path):
     assert main(["reg", "cycle(6)", "-q", "4", "--method", "rank"]) == 0
     assert capsys.readouterr().out.strip() == "4"
     assert main(["reg", "cycle(6)", "-q", "4", "--method", "sieve", "--edge", "3"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+
+    # the formula route is a closed-form lookup: it never enumerates
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the formula route enumerated points")
+
+    for module in ("cli", "harness", "hilbert", "points"):
+        monkeypatch.setattr(f"toricreg.{module}.enumerate_points", no_enumeration)
     assert main(["reg", "cycle(6)", "-q", "4", "--method", "formula"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+    disjoint = tmp_path / "disjoint.json"
+    disjoint.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
+    assert main(["reg", f"file:{disjoint}", "-q", "3", "--method", "formula"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "formula: NOT_APPLICABLE (disconnected: no closed form asserted)"
+    )
 
 
 def test_cli_degree(capsys):
@@ -275,6 +293,24 @@ def test_cli_hilbert(capsys):
     assert "H(0) = 1" in out and "H(1) = 4" in out and "regularity: 1" in out
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["reg", "cycle(4)", "-q", "3", "--method", "rank"], ConsistencyError),
+        (["hilbert", "cycle(4)", "-q", "3"], CeilingExceededError),
+    ],
+)
+def test_cli_internal_inconsistency_exits_1(capsys, monkeypatch, argv, error):
+    def broken(*args, **kwargs):
+        raise error("routes disagree")
+
+    monkeypatch.setattr("toricreg.cli.regularity_rank", broken)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: routes disagree\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_show(capsys):
     assert main(["show", "parallel(1,2)"]) == 0
     out = capsys.readouterr().out
@@ -283,7 +319,10 @@ def test_cli_show(capsys):
 
 def test_cli_invalid_inputs(capsys):
     assert main(["reg", "parallel(3)", "-q", "3"]) == 2
-    assert main(["reg", "cycle(4)", "-q", "6"]) == 2  # not a prime power
+    for method in ("all", "rank", "sieve", "formula"):
+        # not a prime power
+        assert main(["reg", "cycle(4)", "-q", "6", "--method", method]) == 2
+    assert main(["hilbert", "cycle(4)", "-q", "3", "--max-degree", "-1"]) == 2
     assert main(["member", "path(2)", "-q", "3", "--monomial", "1"]) == 2
     assert main(
         ["member", "path(2)", "-q", "3", "--monomial", "1,1"]

@@ -8,7 +8,6 @@ from toricreg.errors import ConsistencyError, TooLargeError
 from toricreg.field import Field, ZERO
 from toricreg.graph import cycle_graph, parallel_composition, path_graph, simplify
 from toricreg.hilbert import (
-    _rank_gather,
     _rank_prime_blocked,
     evaluation_columns,
     gf_rank,
@@ -83,7 +82,7 @@ def _scaled_combination_rows(rng, field, basis, count):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27, 49])
 def test_rank_paths_agree_with_reference(q):
     field = Field(q)
     rng = random.Random(q * 17)
@@ -104,7 +103,6 @@ def test_rank_paths_agree_with_reference(q):
             vals = field.exp_array[idx]
             vals[arr < 0] = 0
             assert _rank_prime_blocked(vals, field.p) == expected
-        assert _rank_gather(arr, field) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
@@ -120,6 +118,34 @@ def test_blocked_rank_crosses_block_boundaries(p):
     assert _rank_prime_blocked(mat, p, block=16) == expected
     assert _rank_prime_blocked(mat, p, block=4) == expected
     assert _rank_prime_blocked(mat, p) == expected
+
+
+def _product(field, a, b):
+    """A.B over GF(q) in the log representation, summed with Field.add."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = ZERO
+            for x, brow in zip(row, b):
+                acc = field.add(acc, field.mul(x, brow[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_extension_rank_crosses_block_boundaries(q):
+    field = Field(q)
+    rng = random.Random(q)
+    # rank <= 6 with dependencies that are field sums, and k*n > 256 so
+    # the regular representation spans more than one column block
+    a = _random_log_matrix(rng, q, 30, 6)
+    b = _random_log_matrix(rng, q, 6, 140)
+    mat = _product(field, a, b)
+    assert field.k * len(mat[0]) > 256
+    expected = rank_reference(mat, field)
+    assert gf_rank(np.array(mat, dtype=np.int64), field) == expected
 
 
 def test_blocked_rank_full_rank_square():
