@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .field import Field
+from .field import Field, prime_power
 from .graph import graph_stats
 from .harness import (
     NOT_APPLICABLE,
@@ -87,7 +87,8 @@ def _cmd_show(args) -> int:
 def _cmd_reg(args) -> int:
     entry = _entry_for(args.spec)
     g = entry.graph
-    Field(args.q)  # rejects a q that is not a prime power, whatever the method
+    if args.edge is not None and not (1 <= args.edge <= g.s):
+        raise ParseError(f"edge index must be in 1..{g.s}")
     if args.method == "all":
         report, _ = evaluate_entry(entry, args.q, with_bounds=False)
         if args.json:
@@ -183,6 +184,8 @@ def _cmd_member(args) -> int:
 def _cmd_verify(args) -> int:
     entries = load_catalog(args.catalog) if args.catalog else default_catalog()
     q_list = tuple(int(tok) for tok in args.q.split(","))
+    for q in set(q_list).union(*(entry.qs or () for entry in entries)):
+        prime_power(q)
     result = verify_suite(
         entries,
         q_list=q_list,
@@ -277,6 +280,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command not in ("show", "verify"):
+            # the one field-size check; verify applies it to its --q list
+            # and to the catalog's q lists
+            prime_power(args.q)
         return args.func(args)
     except (
         ParseError,

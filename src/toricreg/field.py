@@ -30,10 +30,19 @@ TABLE_CAP = 1 << 16
 FieldElem = int
 
 
-def _factor_prime_power(q):
-    """Return (p, k) with q == p**k, or None if q is not a prime power."""
+def prime_power(q, table_cap=TABLE_CAP):
+    """Return (p, k) with q == p**k for a field within the table cap.
+
+    Raises OverflowError above the cap and NotPrimePowerError when q is
+    not a prime power; the cap is checked first, so the trial division
+    stays short.
+    """
+    if q > table_cap:
+        raise OverflowError(
+            f"field cardinality {q} exceeds the table cap {table_cap}"
+        )
     if q < 2:
-        return None
+        raise NotPrimePowerError(f"{q} is not a prime power")
     m = q
     p = None
     for cand in range(2, m + 1):
@@ -48,7 +57,7 @@ def _factor_prime_power(q):
         m //= p
         k += 1
     if m != 1:
-        return None
+        raise NotPrimePowerError(f"{q} is not a prime power")
     return p, k
 
 
@@ -109,14 +118,7 @@ class Field:
     )
 
     def __init__(self, q: int, table_cap: int = TABLE_CAP):
-        if q > table_cap:
-            raise OverflowError(
-                f"field cardinality {q} exceeds the table cap {table_cap}"
-            )
-        fact = _factor_prime_power(q)
-        if fact is None:
-            raise NotPrimePowerError(f"{q} is not a prime power")
-        p, k = fact
+        p, k = prime_power(q, table_cap)
         self.q = q
         self.p = p
         self.k = k

@@ -10,7 +10,6 @@ an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import caps
 from .errors import (
@@ -26,7 +25,6 @@ from .graph import (
     bipartition,
     block_edge_partition,
     blocks,
-    connected_components,
     delete_pendant,
     edge_subgraph,
     graph_stats,
@@ -35,7 +33,7 @@ from .graph import (
     path_graph,
     simplify,
 )
-from .hilbert import regularity_rank
+from .hilbert import evaluation_cells, regularity_rank
 from .ideal import regularity_sieve
 from .points import degree_formula
 
@@ -285,38 +283,30 @@ def _row(name, lhs, rhs, relation, detail=""):
     )
 
 
-def _rank_value(g, q, state_cap, matrix_cap):
+def _rank_value(g, q, matrix_cap):
     # size the final evaluation matrix up front (the cheap sieve predicts
     # the saturation degree) so hopeless computations fail fast
-    d_est = regularity_sieve(g, q, cap=state_cap)
-    size = degree_formula(graph_stats(g), q)
-    cells = size * comb(g.s + d_est - 1, d_est)
+    d_est = regularity_sieve(g, q)
+    cells = evaluation_cells(degree_formula(graph_stats(g), q), g.s, d_est)
     limit = caps.matrix_cap(matrix_cap)
     if cells > limit:
         raise TooLargeError(
             f"derived instance needs {cells} evaluation cells, cap is {limit}"
         )
-    return regularity_rank(g, q, state_cap=state_cap, matrix_cap=matrix_cap).regularity
+    return regularity_rank(g, q, matrix_cap=matrix_cap).regularity
 
 
-def _class_reg(lengths, q, state_cap, matrix_cap):
+def _class_reg(lengths, q, matrix_cap):
     """Rank regularity of one parity class: a parallel composition when
     the class has >= 2 paths, the path itself when it has exactly one."""
     if len(lengths) == 1:
         h = path_graph(lengths[0])
     else:
         h = parallel_composition(lengths)
-    return _rank_value(h, q, state_cap, matrix_cap)
+    return _rank_value(h, q, matrix_cap)
 
 
-def verify_bounds(
-    g: Multigraph,
-    q: int,
-    reg: int,
-    witnesses,
-    state_cap=None,
-    matrix_cap=None,
-):
+def verify_bounds(g: Multigraph, q: int, reg: int, witnesses, matrix_cap=None):
     """Check each witnessed bound, recomputing the compared regularities
     with the rank method.  Returns one BoundRow per witness."""
     rows = []
@@ -326,7 +316,7 @@ def verify_bounds(
                 reduced = delete_pendant(g, w.vertex)
             except InvalidSpecError as exc:
                 raise InvalidWitnessError(f"pendant witness: {exc}") from exc
-            sub = _rank_value(reduced, q, state_cap, matrix_cap)
+            sub = _rank_value(reduced, q, matrix_cap)
             rows.append(
                 _row("pendant", reg, sub + (q - 2), "==", f"v={w.vertex}")
             )
@@ -335,7 +325,7 @@ def verify_bounds(
                 merged = identify_vertices(g, w.u, w.v)
             except (InvalidSpecError, EdgeExistsError) as exc:
                 raise InvalidWitnessError(f"contraction witness: {exc}") from exc
-            sub = _rank_value(merged, q, state_cap, matrix_cap)
+            sub = _rank_value(merged, q, matrix_cap)
             rows.append(
                 _row("contraction", reg, sub, ">=", f"identify={w.u},{w.v}")
             )
@@ -345,8 +335,8 @@ def verify_bounds(
                 raise InvalidWitnessError("cover witness: edges not covered")
             if not (left & right):
                 raise InvalidWitnessError("cover witness: empty intersection")
-            r1 = _rank_value(edge_subgraph(g, sorted(left)), q, state_cap, matrix_cap)
-            r2 = _rank_value(edge_subgraph(g, sorted(right)), q, state_cap, matrix_cap)
+            r1 = _rank_value(edge_subgraph(g, sorted(left)), q, matrix_cap)
+            r2 = _rank_value(edge_subgraph(g, sorted(right)), q, matrix_cap)
             rows.append(
                 _row("cover", reg, r1 + r2, "<=", f"|L|={len(left)},|R|={len(right)}")
             )
@@ -368,11 +358,12 @@ def verify_bounds(
                 )
             )
         elif isinstance(w, BipartiteBoundWitness):
-            color = bipartition(g)
-            if color is None or len(connected_components(g)) != 1:
+            stats = graph_stats(g)
+            if stats.m != 1 or stats.gamma != 0:
                 raise InvalidWitnessError(
                     "bipartite bound needs a connected bipartite graph"
                 )
+            color = bipartition(g)
             a = sum(1 for c in color if c == 0)
             b = g.n - a
             rows.append(
@@ -392,8 +383,8 @@ def verify_bounds(
                 raise InvalidWitnessError(
                     "parity-split witness needs mixed parities"
                 )
-            r1 = _class_reg(odd, q, state_cap, matrix_cap)
-            r2 = _class_reg(even, q, state_cap, matrix_cap)
+            r1 = _class_reg(odd, q, matrix_cap)
+            r2 = _class_reg(even, q, matrix_cap)
             rows.append(
                 _row(
                     "parity_split",

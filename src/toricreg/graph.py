@@ -216,36 +216,23 @@ def family(kind: str, params) -> Multigraph:
         raise InvalidSpecError(f"bad parameters {params!r} for {kind}") from None
 
 
-def connected_components(g: Multigraph):
-    """List of vertex lists, one per component, in discovery order."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp, stack = [root], [root]
-        while stack:
-            v = stack.pop()
-            for eid in g.edges_at(v):
-                u, w = g.edges[eid]
-                nxt = w if v == u else u
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    comp.append(nxt)
-                    stack.append(nxt)
-        comps.append(comp)
-    return comps
+def _traverse(g: Multigraph):
+    """One depth-first walk of every component.
 
-
-def bipartition(g: Multigraph):
-    """2-coloring as a list of 0/1, or None if some component is odd."""
+    Returns (components, color, odd): the vertex lists in discovery
+    order, a 0/1 colour per vertex that alternates along the search
+    tree, and for each component whether some edge joins two vertices
+    of the same colour (an odd cycle).  Components without such an edge
+    are properly 2-coloured.
+    """
     color = [-1] * g.n
+    comps, odd = [], []
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        stack = [root]
+        comp, stack = [root], [root]
+        clash = False
         while stack:
             v = stack.pop()
             for eid in g.edges_at(v):
@@ -253,35 +240,30 @@ def bipartition(g: Multigraph):
                 nxt = w if v == u else u
                 if color[nxt] == -1:
                     color[nxt] = 1 - color[v]
+                    comp.append(nxt)
                     stack.append(nxt)
                 elif color[nxt] == color[v]:
-                    return None
-        # fall through: component colored
-    return color
+                    clash = True
+        comps.append(comp)
+        odd.append(clash)
+    return comps, color, odd
+
+
+def connected_components(g: Multigraph):
+    """List of vertex lists, one per component, in discovery order."""
+    return _traverse(g)[0]
+
+
+def bipartition(g: Multigraph):
+    """2-coloring as a list of 0/1, or None if some component is odd."""
+    _, color, odd = _traverse(g)
+    return None if any(odd) else color
 
 
 def graph_stats(g: Multigraph) -> GraphStats:
     """Component count and number of non-bipartite components."""
-    comps = connected_components(g)
-    gamma = 0
-    for comp in comps:
-        color = {comp[0]: 0}
-        stack = [comp[0]]
-        ok = True
-        while stack and ok:
-            v = stack.pop()
-            for eid in g.edges_at(v):
-                u, w = g.edges[eid]
-                nxt = w if v == u else u
-                if nxt not in color:
-                    color[nxt] = 1 - color[v]
-                    stack.append(nxt)
-                elif color[nxt] == color[v]:
-                    ok = False
-                    break
-        if not ok:
-            gamma += 1
-    return GraphStats(n=g.n, m=len(comps), gamma=gamma)
+    comps, _, odd = _traverse(g)
+    return GraphStats(n=g.n, m=len(comps), gamma=sum(odd))
 
 
 def identify_vertices(g: Multigraph, u: int, v: int) -> Multigraph:

@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
-from math import comb
 
 from . import caps
 from .errors import ParseError, TooLargeError
@@ -34,18 +33,16 @@ from .formulas import (
 )
 from .graph import (
     Multigraph,
-    bipartition,
     complete_bipartite,
     complete_graph,
     complete_multipartite,
-    connected_components,
     cycle_graph,
     graph_stats,
     parallel_composition,
     path_graph,
     star_graph,
 )
-from .hilbert import regularity_rank
+from .hilbert import evaluation_cells, regularity_rank
 from .ideal import regularity_sieve
 from .points import degree_formula, enumerate_points
 
@@ -274,6 +271,11 @@ def load_catalog(path) -> list:
     entries = []
     for item in payload:
         parsed = parse_graph_spec(item["spec"])
+        qs = item.get("q")
+        if qs is not None and not (
+            isinstance(qs, list) and all(type(q) is int for q in qs)
+        ):
+            raise ParseError(f"catalog q must be a list of integers, got {qs!r}")
         entries.append(
             CatalogEntry(
                 label=parsed.label,
@@ -281,7 +283,7 @@ def load_catalog(path) -> list:
                 kind=parsed.kind,
                 params=parsed.params,
                 expect_reg=item.get("expect_reg"),
-                qs=tuple(item["q"]) if "q" in item else None,
+                qs=None if qs is None else tuple(qs),
             )
         )
     return entries
@@ -333,7 +335,8 @@ def auto_witnesses(g: Multigraph, kind: str = "graph", params=()):
         chosen.append(v)
     if chosen:
         ws.append(IndependentSetWitness(tuple(chosen)))
-    if bipartition(g) is not None and len(connected_components(g)) == 1:
+    stats = graph_stats(g)
+    if stats.m == 1 and stats.gamma == 0:
         ws.append(BipartiteBoundWitness())
     if kind == "parallel" and params:
         if any(k % 2 for k in params) and any(k % 2 == 0 for k in params):
@@ -352,11 +355,10 @@ def _formula_for_entry(entry: CatalogEntry, q: int):
     return reg_closed_form(entry.kind, entry.params, q)
 
 
-def _sieve_estimate_fits(g, sieve_value, size, matrix_cap_val) -> bool:
+def _sieve_estimate_fits(g, sieve_value, size) -> bool:
     if not isinstance(sieve_value, int):
         return False
-    cells = size * comb(g.s + sieve_value - 1, sieve_value)
-    return cells <= matrix_cap_val
+    return evaluation_cells(size, g.s, sieve_value) <= caps.matrix_cap()
 
 
 def evaluate_entry(
@@ -364,8 +366,6 @@ def evaluate_entry(
     q: int,
     with_bounds: bool = True,
     bound_point_budget: int = 1024,
-    state_cap=None,
-    matrix_cap=None,
 ) -> tuple:
     """Run all methods on one (instance, q) pair.  Returns the report and
     the list of (bound row) results."""
@@ -375,14 +375,14 @@ def evaluate_entry(
 
     ps = None
     try:
-        ps = enumerate_points(g, q, cap=state_cap)
+        ps = enumerate_points(g, q)
         deg_enum = ps.size
     except TooLargeError:
         deg_enum = NOT_RUN
 
     t0 = time.perf_counter()
     try:
-        sieve_value = regularity_sieve(g, q, cap=state_cap)
+        sieve_value = regularity_sieve(g, q)
     except TooLargeError:
         sieve_value = NOT_RUN
     sieve_ms = (time.perf_counter() - t0) * 1000.0
@@ -392,16 +392,12 @@ def evaluate_entry(
     formula_value = fr.value if fr.applicable else NOT_APPLICABLE
     formula_ms = (time.perf_counter() - t0) * 1000.0
 
-    mc = caps.matrix_cap(matrix_cap)
     rank_value = NOT_RUN
     rank_ms = 0.0
-    if ps is not None and _sieve_estimate_fits(g, sieve_value, ps.size, mc):
+    if ps is not None and _sieve_estimate_fits(g, sieve_value, ps.size):
         t0 = time.perf_counter()
         try:
-            profile = regularity_rank(
-                g, q, points=ps, state_cap=state_cap, matrix_cap=matrix_cap
-            )
-            rank_value = profile.regularity
+            rank_value = regularity_rank(g, q, points=ps).regularity
         except TooLargeError:
             rank_value = NOT_RUN
         rank_ms = (time.perf_counter() - t0) * 1000.0
@@ -440,12 +436,7 @@ def evaluate_entry(
         for w in auto_witnesses(g, entry.kind, entry.params):
             try:
                 rows = verify_bounds(
-                    g,
-                    q,
-                    rank_value,
-                    [w],
-                    state_cap=state_cap,
-                    matrix_cap=_ROW_CELL_BUDGET,
+                    g, q, rank_value, [w], matrix_cap=_ROW_CELL_BUDGET
                 )
             except TooLargeError:
                 continue
@@ -454,15 +445,10 @@ def evaluate_entry(
 
 
 def _evaluate_job(args):
-    entry, q, with_bounds, budget, state_cap, matrix_cap = args
+    entry, q, with_bounds, budget = args
     try:
         return evaluate_entry(
-            entry,
-            q,
-            with_bounds=with_bounds,
-            bound_point_budget=budget,
-            state_cap=state_cap,
-            matrix_cap=matrix_cap,
+            entry, q, with_bounds=with_bounds, bound_point_budget=budget
         )
     except Exception as exc:  # record, never abort the sweep
         report = RegularityReport(
@@ -501,8 +487,6 @@ def verify_suite(
     jobs: int = 1,
     with_bounds: bool = True,
     bound_point_budget: int = 1024,
-    state_cap=None,
-    matrix_cap=None,
 ) -> SuiteResult:
     """Cross-check every catalog instance at every q.  Jobs fan out to a
     process pool; results are merged in sorted (spec, q) order either way."""
@@ -511,9 +495,7 @@ def verify_suite(
     work = []
     for entry in entries:
         for q in entry.qs or q_list:
-            work.append(
-                (entry, q, with_bounds, bound_point_budget, state_cap, matrix_cap)
-            )
+            work.append((entry, q, with_bounds, bound_point_budget))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_evaluate_job, work))

@@ -251,22 +251,27 @@ class HilbertProfile:
         )
 
 
+def evaluation_cells(size: int, s: int, d: int) -> int:
+    """Cells of the degree-d evaluation matrix over `size` points and s
+    variables before deduplication: size * C(s+d-1, d).  The matrix cap
+    is compared against this count."""
+    return size * comb(s + d - 1, d)
+
+
 def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
     """Rank of the degree-d evaluation matrix (|X| rows, C(s+d-1, d)
     columns before deduplication)."""
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
-    ncols = comb(ps.s + d - 1, d)
+    cells = evaluation_cells(ps.size, ps.s, d)
     limit = caps.matrix_cap(cap)
-    if ps.size * ncols > limit:
-        raise TooLargeError(
-            f"evaluation matrix has {ps.size * ncols} cells, cap is {limit}"
-        )
+    if cells > limit:
+        raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
     mons = monomial_matrix(ps.s, d)
     E = evaluation_columns(ps, mons, field)
     E = _unique_rows(E)
     rank = gf_rank(E, field)
-    if rank > min(ps.size, ncols):
+    if rank > min(E.shape):
         raise ConsistencyError("rank exceeded its dimension bound")
     return rank
 
@@ -275,7 +280,6 @@ def regularity_rank(
     g: Multigraph,
     q: int,
     points: PointSet | None = None,
-    state_cap=None,
     matrix_cap=None,
 ) -> HilbertProfile:
     """Regularity as the first degree where the Hilbert function hits the
@@ -286,7 +290,7 @@ def regularity_rank(
     internal inconsistency, not a long computation.
     """
     field = Field(q)
-    ps = points if points is not None else enumerate_points(g, q, cap=state_cap)
+    ps = points if points is not None else enumerate_points(g, q)
     if ps.s != g.s or ps.q != q:
         raise ValueError("point set does not match the graph and field")
     target = ps.size

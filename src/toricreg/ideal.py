@@ -9,13 +9,20 @@ degree |a|-1 has residue residue(a) - chi_j, where chi_j bumps both
 endpoints of edge j.
 
 Reach(d), the set of residues of all degree-d monomials, satisfies
-Reach(0) = {0} and Reach(d) = union over edges of Reach(d-1) + chi_j,
-so it is computed by a dynamic program over numpy bool tensors of shape
-(q-1, ..., q-1); the shifted-copy union is a pair of rolls.  For q = 2
-residues live mod 1 and every table collapses to the zero vector.
+Reach(0) = {0} and Reach(d) = union over edges of Reach(d-1) + chi_j.
+One generator, ``_reach_levels``, runs this dynamic program: it checks
+the state cap once, seeds a numpy bool tensor of shape (q-1, ..., q-1)
+and yields Reach(0), Reach(1), ... in turn, each shifted-copy union
+being a pair of rolls per edge.  ``reachable_residues`` keeps a prefix
+of the levels for membership queries; ``regularity_sieve`` consumes
+them one at a time until the quotient by (I, t_edge) vanishes.  For
+q = 2 residues live mod 1 and every table collapses to the zero vector,
+so both callers answer without the generator.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -93,24 +100,29 @@ def _reach_step(prev: np.ndarray, g: Multigraph) -> np.ndarray:
     return out
 
 
-def reachable_residues(g: Multigraph, q: int, d_max: int, cap=None) -> ReachTable:
-    """Dynamic program for Reach(0..d_max)."""
+def _reach_levels(g: Multigraph, q: int, cap=None):
+    """Reach(0), Reach(1), ... as bool tensors over residue vectors, for
+    q > 2.  The state cap and the vertex limit are checked before the
+    first level is yielded; each later level costs one `_reach_step`."""
     qm1 = q - 1
     limit = caps.state_cap(cap)
     states = qm1**g.n
     if states > limit:
         raise TooLargeError(f"(q-1)**n = {states} exceeds the state cap {limit}")
-    if qm1 == 1:
-        return ReachTable(g, q, d_max, None, trivial=True)
     if g.n > 32:
         raise TooLargeError("residue tensors support at most 32 vertices")
-    shape = (qm1,) * g.n
-    cur = np.zeros(shape, dtype=bool)
+    cur = np.zeros((qm1,) * g.n, dtype=bool)
     cur[(0,) * g.n] = True
-    levels = [cur]
-    for _ in range(d_max):
+    while True:
+        yield cur
         cur = _reach_step(cur, g)
-        levels.append(cur)
+
+
+def reachable_residues(g: Multigraph, q: int, d_max: int, cap=None) -> ReachTable:
+    """Dynamic program for Reach(0..d_max)."""
+    if q == 2:
+        return ReachTable(g, q, d_max, None, trivial=True)
+    levels = list(islice(_reach_levels(g, q, cap), d_max + 1))
     return ReachTable(g, q, d_max, levels, trivial=False)
 
 
@@ -144,22 +156,13 @@ def regularity_sieve(g: Multigraph, q: int, edge: int = 0, cap=None) -> int:
     """
     if not (0 <= edge < g.s):
         raise IndexError(f"edge index {edge} out of range")
-    qm1 = q - 1
-    if qm1 == 1:
+    if q == 2:
         return 0
-    limit = caps.state_cap(cap)
-    states = qm1**g.n
-    if states > limit:
-        raise TooLargeError(f"(q-1)**n = {states} exceeds the state cap {limit}")
-    if g.n > 32:
-        raise TooLargeError("residue tensors support at most 32 vertices")
+    levels = _reach_levels(g, q, cap)
+    prev = next(levels)
     u, w = g.edges[edge]
-    shape = (qm1,) * g.n
-    prev = np.zeros(shape, dtype=bool)
-    prev[(0,) * g.n] = True
     ceiling = (g.s - 1) * (q - 2) + 2
-    for d in range(1, ceiling + 1):
-        cur = _reach_step(prev, g)
+    for d, cur in zip(range(1, ceiling + 1), levels):
         shifted = np.roll(prev, (1, 1), axis=(u, w))
         if not np.any(cur & ~shifted):
             return d - 1

@@ -1,9 +1,11 @@
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from toricreg.errors import EdgeExistsError, InvalidSpecError
 from toricreg.graph import (
+    GraphStats,
     Multigraph,
     ParallelSpec,
     bipartition,
@@ -11,6 +13,7 @@ from toricreg.graph import (
     blocks,
     complete_bipartite,
     complete_multipartite,
+    connected_components,
     cycle_graph,
     delete_pendant,
     ear_walks,
@@ -179,6 +182,80 @@ def test_bipartition():
     assert all(color[u] != color[w] for u, w in g.edges)
     # a parallel pair is an even cycle, hence bipartite
     assert bipartition(parallel_composition((1, 1))) is not None
+
+
+def _random_multigraph(rng):
+    """Components of 2..5 vertices, each a random spanning tree (so leaves
+    give pendant vertices) plus random extra edges, parallel copies
+    included; vertex labels and edge order are shuffled."""
+    sizes = [rng.randint(2, 5) for _ in range(rng.randint(1, 3))]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    edges, start = [], 0
+    for k in sizes:
+        verts = labels[start : start + k]
+        start += k
+        for i in range(1, k):
+            edges.append((verts[rng.randrange(i)], verts[i]))
+        for _ in range(rng.randint(0, 3)):
+            edges.append(tuple(rng.sample(verts, 2)))
+        if rng.random() < 0.3:
+            edges.append(rng.choice(edges))
+    rng.shuffle(edges)
+    return Multigraph(len(labels), edges)
+
+
+def _brute_components(g):
+    """Union-find components, and whether each has an odd cycle (no
+    2-coloring of its vertices makes every edge bichromatic)."""
+    parent = list(range(g.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, w in g.edges:
+        parent[find(u)] = find(w)
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    out = {}
+    for verts in groups.values():
+        inner = [(u, w) for u, w in g.edges if u in verts]
+        odd = not any(
+            all(c[verts.index(u)] != c[verts.index(w)] for u, w in inner)
+            for c in product((0, 1), repeat=len(verts))
+        )
+        out[frozenset(verts)] = odd
+    return out
+
+
+def test_traversals_match_brute_force_on_random_multigraphs():
+    rng = random.Random(20261018)
+    seen_parallel = seen_pendant = seen_split = seen_odd = seen_mixed = False
+    for _ in range(300):
+        g = _random_multigraph(rng)
+        truth = _brute_components(g)
+        comps = connected_components(g)
+        assert {frozenset(c): None for c in comps}.keys() == truth.keys()
+        assert sum(len(c) for c in comps) == g.n
+        # discovery order: each component starts at its smallest vertex
+        assert [c[0] for c in comps] == sorted(min(c) for c in comps)
+        odd = sum(truth.values())
+        assert graph_stats(g) == GraphStats(n=g.n, m=len(truth), gamma=odd)
+        color = bipartition(g)
+        if odd:
+            assert color is None
+        else:
+            assert sorted(set(color)) in ([0], [0, 1])
+            assert all(color[u] != color[w] for u, w in g.edges)
+        seen_parallel |= len(set(g.edges)) < g.s
+        seen_pendant |= any(g.degree(v) == 1 for v in range(g.n))
+        seen_split |= len(truth) > 1
+        seen_odd |= odd > 0
+        seen_mixed |= 0 < odd < len(truth)
+    assert seen_parallel and seen_pendant and seen_split and seen_odd and seen_mixed
 
 
 def test_ear_walks_shapes():

@@ -317,14 +317,34 @@ def test_cli_show(capsys):
     assert "t_1 = {0, 1}" in out
 
 
-def test_cli_invalid_inputs(capsys):
-    assert main(["reg", "parallel(3)", "-q", "3"]) == 2
-    for method in ("all", "rank", "sieve", "formula"):
-        # not a prime power
-        assert main(["reg", "cycle(4)", "-q", "6", "--method", method]) == 2
-    assert main(["hilbert", "cycle(4)", "-q", "3", "--max-degree", "-1"]) == 2
-    assert main(["member", "path(2)", "-q", "3", "--monomial", "1"]) == 2
-    assert main(
-        ["member", "path(2)", "-q", "3", "--monomial", "1,1"]
-    ) == 2  # neither --binomial nor --mod-edge
-    capsys.readouterr()
+def test_cli_invalid_inputs(capsys, tmp_path):
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps([{"spec": "cycle(4)", "q": [3, 6]}]))
+    text_q = tmp_path / "text_q.json"
+    text_q.write_text(json.dumps([{"spec": "cycle(4)", "q": ["3"]}]))
+    cases = [
+        ["reg", "parallel(3)", "-q", "3"],
+        ["hilbert", "cycle(4)", "-q", "3", "--max-degree", "-1"],
+        ["member", "path(2)", "-q", "3", "--monomial", "1"],
+        # neither --binomial nor --mod-edge
+        ["member", "path(2)", "-q", "3", "--monomial", "1,1"],
+        # --edge outside 1..s (cycle(4) has s = 4)
+        ["reg", "cycle(4)", "-q", "3", "--method", "sieve", "--edge", "0"],
+        ["reg", "cycle(4)", "-q", "3", "--method", "sieve", "--edge", "5"],
+        # q = 6 is not a prime power, wherever it is given
+        ["degree", "cycle(3)", "-q", "6"],
+        ["member", "path(2)", "-q", "6", "--monomial", "1,1", "--mod-edge", "1"],
+        ["verify", "--q", "3,6", "--skip-bounds"],
+        ["verify", "--catalog", str(six), "--skip-bounds"],
+        ["verify", "--catalog", str(text_q), "--skip-bounds"],
+    ]
+    cases += [
+        ["reg", "cycle(4)", "-q", "6", "--method", method]
+        for method in ("all", "rank", "sieve", "formula")
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert "Traceback" not in captured.out + captured.err, argv
+        assert "MISMATCH" not in captured.out, argv

@@ -111,7 +111,7 @@ def test_reach_examples_triangle():
     assert reach.level(2) == even_weight
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_reach_dp_matches_brute_force(q):
     graphs = [
         path_graph(2),
@@ -125,6 +125,54 @@ def test_reach_dp_matches_brute_force(q):
         reach = reachable_residues(g, q, 4)
         for d in range(5):
             assert reach.level(d) == brute_reach(g, q, d)
+
+
+def brute_sieve(g, q, edge):
+    """The sieve's vanishing degree minus 1, from brute-force Reach sets."""
+    u, w = g.edges[edge]
+    d = 1
+    while True:
+        prev = brute_reach(g, q, d - 1)
+        stepped = {
+            tuple(
+                (x - (v in (u, w))) % (q - 1) for v, x in enumerate(r)
+            )
+            for r in brute_reach(g, q, d)
+        }
+        if stepped <= prev:
+            return d - 1
+        d += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sieve_matches_brute_force(q):
+    for g in (
+        path_graph(3),
+        cycle_graph(3),
+        cycle_graph(4),
+        parallel_composition((1, 2)),
+        parallel_composition((1, 1, 2)),
+        star_graph(3),
+    ):
+        for edge in range(g.s):
+            assert regularity_sieve(g, q, edge=edge) == brute_sieve(g, q, edge)
+
+
+def test_q2_has_no_vertex_limit():
+    # at q = 2 every residue is 0, so a graph of any size has one state
+    g = path_graph(40)
+    reach = reachable_residues(g, 2, 3)
+    zero = (0,) * g.n
+    assert all(reach.level(d) == {zero} for d in range(4))
+    assert reach.contains(3, zero)
+    assert monomial_in_ideal_plus_edge(g, 2, (1,) + (0,) * 39, 0, reach)
+    assert regularity_sieve(g, 2) == 0
+    assert regularity_sieve(g, 2, edge=g.s - 1) == 0
+    # at q = 3 the same graph has 2**41 states, far above the cap
+    with pytest.raises(TooLargeError):
+        reachable_residues(g, 3, 1)
+    with pytest.raises(TooLargeError):
+        regularity_sieve(g, 3)
 
 
 def test_reach_cap():
