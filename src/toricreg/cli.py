@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 
 from .errors import (
     ConsistencyError,
@@ -40,7 +41,7 @@ from .harness import (
     verify_suite,
     write_csv,
 )
-from .hilbert import hilbert_value, regularity_rank
+from .hilbert import _hilbert_levels, regularity_rank
 from .ideal import (
     binomial_in_ideal,
     monomial_in_ideal_plus_edge,
@@ -148,7 +149,7 @@ def _cmd_hilbert(args) -> int:
     if max_d is None:
         values = regularity_rank(g, args.q, points=ps).values
     else:
-        values = (hilbert_value(ps, d, field) for d in range(max_d + 1))
+        values = islice(_hilbert_levels(ps, field), max_d + 1)
     reg = None
     for d, h in enumerate(values):
         print(f"H({d}) = {h}")

@@ -60,7 +60,7 @@ class Multigraph:
 
     def is_edge(self, u: int, w: int) -> bool:
         pair = (u, w) if u < w else (w, u)
-        return pair in set(self.edges)
+        return pair in self.edges
 
     def __eq__(self, other):
         return (

@@ -270,6 +270,8 @@ def load_catalog(path) -> list:
         raise ParseError("catalog file must hold a JSON list")
     entries = []
     for item in payload:
+        if not (isinstance(item, dict) and isinstance(item.get("spec"), str)):
+            raise ParseError(f'catalog entry must be an object with a string "spec", got {item!r}')
         parsed = parse_graph_spec(item["spec"])
         qs = item.get("q")
         if qs is not None and not (

@@ -1,34 +1,45 @@
 """Hilbert function via ranks of monomial-evaluation matrices over GF(q).
 
 The value at degree d is the rank of the matrix whose rows are the
-points and whose columns are the degree-d monomials evaluated at them;
-the regularity is the first d where the rank reaches the number of
-points.  In the log representation the matrix build is a single integer
-matrix product: entry(point, monomial) = g**(point . exponents).
+degree-d monomials and whose columns are the points, each entry the
+monomial evaluated at the point; the regularity is the first d where
+the rank reaches the number of points.  In the log representation the
+matrix build is a single integer matrix product: entry(monomial, point)
+= g**(exponents . point).  Duplicate rows never change a rank, so rows
+are deduplicated by content before elimination.
 
-Two elimination routines compute the rank:
+Two elimination routines compute ranks:
 
 * ``rank_reference`` -- textbook in-place elimination in the Zech
   representation.  The simple spec of the method; quadratic-times-cols
   in pure Python, so only usable for small matrices.  The tests
   cross-check the production path against it.
-* ``_rank_prime_blocked`` -- blocked elimination mod a prime p with
-  float matmul updates (entries stay below block*(p-1)**2 + p, which is
-  exact in float32 for small p and in float64 in general).  This is
-  what makes the large bipartite sweeps run in seconds instead of hours.
+* ``_PrimeEchelon`` -- blocked elimination mod a prime p with float
+  matmul updates and delayed reduction, resumable: columns may arrive
+  in batches, and each batch is brought up to date with the pivots
+  already found from the stored row permutation and multipliers.
 
-``gf_rank`` serves every q = p**k with the blocked kernel through the
-regular representation: each entry becomes the k x k matrix over GF(p)
-of multiplication by it, and the GF(p) rank of the result is k times
-the GF(q) rank.
+``gf_rank`` serves every q = p**k with that kernel through the regular
+representation: each entry becomes the k x k matrix over GF(p) of
+multiplication by it, and the GF(p) rank of the result is k times the
+GF(q) rank.  ``hilbert_value`` ranks a single degree on its own that way.
 
-Duplicate columns never change a rank, so columns are deduplicated by
-content before elimination.
+The profile needs no re-elimination per degree.  Points are stored with
+first coordinate x_1 = 1, so x_1 * m and m give the same row: the rows
+of degree d-1 all reappear at degree d, and the degree-d matrix is the
+degree-(d-1) one plus the rows of the monomials free of x_1.
+``_hilbert_levels`` therefore feeds one echelon, transposed so that
+monomial rows arrive as columns, only the rows never seen in a lower
+degree, and reads H(0), H(1), ... off its growing rank.  On this point
+set, a group, distinct rows are distinct characters and hence
+independent, so every H(d) is also checked to equal the number of
+distinct rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb
 
 import numpy as np
@@ -86,10 +97,12 @@ def evaluation_columns(ps: PointSet, mons: np.ndarray, field: Field) -> np.ndarr
     return E.astype(np.int64)
 
 
-def _unique_rows(E: np.ndarray) -> np.ndarray:
-    """First occurrence of each distinct row, in input order."""
+def _unique_rows(E: np.ndarray, seen: set | None = None) -> np.ndarray:
+    """First occurrence of each distinct row not already in `seen`, in
+    input order.  The kept rows' bytes are added to `seen`."""
     E = np.ascontiguousarray(E)
-    seen = set()
+    if seen is None:
+        seen = set()
     keep = []
     for i in range(E.shape[0]):
         key = E[i].tobytes()
@@ -132,62 +145,102 @@ def rank_reference(rows, field: Field) -> int:
     return rank
 
 
-def _rank_prime_blocked(values: np.ndarray, p: int, block: int = 256) -> int:
-    """Rank over GF(p) of an integer matrix, blocked right-looking
-    elimination with deferred trailing updates done by BLAS matmuls.
+class _PrimeEchelon:
+    """Resumable blocked elimination over GF(p) of a matrix with a fixed
+    number of rows whose columns arrive in batches; ``rank`` is the rank
+    of every column fed so far.
 
-    Multipliers are stored in the eliminated positions.  Within a panel
-    only the pivot row and the multiplier column are reduced mod p, so
-    an entry accumulates at most block*(p-1)**2 on top of p; the dtype
-    is float32 when that bound stays exact, float64 otherwise.  At each
-    block boundary the pivot rows' trailing parts are fixed by forward
-    substitution and the remaining rows by one matrix product.
+    Right-looking elimination with row pivoting and deferred trailing
+    updates done by BLAS matmuls.  Within a panel of at most ``block``
+    columns only the pivot row and the multiplier column are reduced
+    mod p; at each panel boundary the pivot rows' trailing parts are
+    fixed by forward substitution and the remaining rows by one matrix
+    product.  Every product added to an entry is at most (p-1)**2, so
+    entries are reduced mod p only when the next update could carry
+    them past the float mantissa (delayed modular reduction, as in
+    FFLAS-FFPACK).  The dtype is float32 when a whole panel fits in its
+    24 bits, float64 otherwise.
+
+    Resuming needs only the row permutation and the multiplier column
+    of each pivot (row t of ``_lt`` holds the multipliers of pivot t).
+    A new batch is permuted, then brought up to date by the same
+    forward substitution and Schur update, pivots taken ``block`` at a
+    time, before its own panels are eliminated.  ``capacity`` bounds the
+    rank and sizes the multiplier buffer, allocated once; its pages
+    become resident only as pivots are stored.
     """
-    m, n = values.shape
-    if m == 0 or n == 0:
-        return 0
-    dtype = np.float32 if block * (p - 1) ** 2 + p < (1 << 24) else np.float64
-    W = (values % p).astype(dtype)
-    r = 0
-    c0 = 0
-    while r < m and c0 < n:
-        b = min(block, n - c0)
-        piv_cols = []
-        pr = r
-        for j in range(c0, c0 + b):
-            col = W[pr:, j] % p
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = pr + int(nz[0])
-            if i != pr:
-                W[[pr, i], :] = W[[i, pr], :]
-            W[pr, j : c0 + b] %= p
-            inv = pow(int(W[pr, j]), -1, p)
-            if pr + 1 < m:
+
+    def __init__(self, rows: int, p: int, capacity: int | None = None, block: int = 256):
+        self.p = p
+        self.block = block
+        self.rank = 0
+        bits = 24 if block * (p - 1) ** 2 + p < (1 << 24) else 53
+        self.dtype = np.float32 if bits == 24 else np.float64
+        # products an entry reduced below p can absorb and stay exact
+        self._room = ((1 << bits) - p) // (p - 1) ** 2
+        self._perm = np.arange(rows)
+        self._lt = np.empty((rows if capacity is None else capacity, rows), self.dtype)
+
+    def _update(self, W, a, b, acc):
+        """Apply pivots a..b-1 to W, whose rows are already permuted and
+        reduced by every earlier pivot, with at most `acc` products
+        pending in any entry; returns the new pending count."""
+        p, L = self.p, self._lt
+        if acc + b - a > self._room:
+            W[a:] %= p
+            acc = 0
+        W[a] %= p
+        for t in range(a + 1, b):
+            W[t] -= L[a:t, t] @ W[a:t]
+            W[t] %= p
+        W[b:] -= L[a:b, b:].T @ W[a:b]
+        return acc + b - a
+
+    def add_columns(self, cols: np.ndarray) -> int:
+        """Feed the columns of an integer (rows, c) matrix; returns the
+        rank of all columns fed so far."""
+        m = self._perm.size
+        n = cols.shape[1]
+        r = self.rank
+        if r == m or n == 0:
+            return r
+        p, block, L = self.p, self.block, self._lt
+        W = (cols[self._perm] % p).astype(self.dtype)
+        acc = 0
+        for a in range(0, r, block):
+            acc = self._update(W, a, min(a + block, r), acc)
+        c0 = 0
+        while r < m and c0 < n:
+            b = min(block, n - c0)
+            # the panel adds up to b products to its own columns
+            if acc + b > self._room:
+                W[r:, c0:] %= p
+                acc = 0
+            pr = r
+            for j in range(c0, c0 + b):
+                col = W[pr:, j] % p
+                nz = np.nonzero(col)[0]
+                if nz.size == 0:
+                    continue
+                i = pr + int(nz[0])
+                if i != pr:
+                    W[[pr, i], j:] = W[[i, pr], j:]
+                    L[:pr, [pr, i]] = L[:pr, [i, pr]]
+                    self._perm[[pr, i]] = self._perm[[i, pr]]
+                W[pr, j : c0 + b] %= p
+                inv = pow(int(W[pr, j]), -1, p)
                 lcol = (W[pr + 1 :, j] % p) * inv % p
-                tail = slice(j + 1, c0 + b)
-                W[pr + 1 :, tail] -= np.outer(lcol, W[pr, tail])
-                W[pr + 1 :, j] = lcol
-            piv_cols.append(j)
-            pr += 1
-            if pr == m:
-                break
-        k = pr - r
-        if pr == m:
-            return m
-        if k and c0 + b < n:
-            T = slice(c0 + b, n)
-            L = W[r:pr, piv_cols]
-            for t in range(1, k):
-                W[r + t, T] -= L[t, :t] @ W[r : r + t, T]
-                W[r + t, T] %= p
-            Lb = W[pr:, piv_cols]
-            W[pr:, T] -= Lb @ W[r:pr, T]
-            W[pr:, T] %= p
-        r = pr
-        c0 += b
-    return r
+                W[pr + 1 :, j + 1 : c0 + b] -= np.outer(lcol, W[pr, j + 1 : c0 + b])
+                L[pr, pr + 1 :] = lcol
+                pr += 1
+                if pr == m:
+                    break
+            if r < pr < m and c0 + b < n:
+                acc = self._update(W[:, c0 + b :], r, pr, acc)
+            r = pr
+            c0 += b
+        self.rank = r
+        return r
 
 
 def _multiplication_blocks(field: Field) -> np.ndarray:
@@ -205,6 +258,25 @@ def _multiplication_blocks(field: Field) -> np.ndarray:
     return blocks
 
 
+def _regular_columns(cols: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """GF(p) image of an (m, n) log-representation matrix under the
+    regular representation, transposed: entry (i, j) becomes the k x k
+    block blocks[cols[i, j]], laid out as an (n*k, m*k) matrix so that
+    the rows of ``cols`` arrive as columns."""
+    m, n = cols.shape
+    k = blocks.shape[1]
+    return blocks[cols].transpose(1, 3, 0, 2).reshape(n * k, m * k)
+
+
+def _rank_over_q(echelon: _PrimeEchelon, k: int) -> int:
+    if echelon.rank % k:
+        raise ConsistencyError(
+            f"GF({echelon.p}) rank {echelon.rank} of the regular representation "
+            f"is not a multiple of {k}"
+        )
+    return echelon.rank // k
+
+
 def gf_rank(cols: np.ndarray, field: Field) -> int:
     """Rank over GF(q) of a log-representation matrix (ZERO entries
     allowed as -1).
@@ -218,16 +290,9 @@ def gf_rank(cols: np.ndarray, field: Field) -> int:
         return 0
     m, n = cols.shape
     k = field.k
-    blocks = _multiplication_blocks(field)[cols]
-    rank_p = _rank_prime_blocked(
-        blocks.transpose(0, 2, 1, 3).reshape(m * k, n * k), field.p
-    )
-    if rank_p % k:
-        raise ConsistencyError(
-            f"GF({field.p}) rank {rank_p} of the regular representation "
-            f"is not a multiple of {k}"
-        )
-    return rank_p // k
+    echelon = _PrimeEchelon(n * k, field.p, capacity=min(m, n) * k)
+    echelon.add_columns(_regular_columns(cols, _multiplication_blocks(field)))
+    return _rank_over_q(echelon, k)
 
 
 # -- Hilbert function and regularity -------------------------------------
@@ -258,22 +323,76 @@ def evaluation_cells(size: int, s: int, d: int) -> int:
     return size * comb(s + d - 1, d)
 
 
-def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
-    """Rank of the degree-d evaluation matrix (|X| rows, C(s+d-1, d)
-    columns before deduplication)."""
-    if field.q != ps.q:
-        raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
-    cells = evaluation_cells(ps.size, ps.s, d)
-    limit = caps.matrix_cap(cap)
+def _check_cells(size: int, s: int, d: int, limit: int) -> None:
+    cells = evaluation_cells(size, s, d)
     if cells > limit:
         raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
+
+
+def _check_distinct(rank: int, rows: int) -> None:
+    # rows are distinct characters of the group X, hence independent
+    if rank != rows:
+        raise ConsistencyError(f"rank {rank} differs from the {rows} distinct rows")
+
+
+def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
+    """Rank of the degree-d evaluation matrix (|X| rows, C(s+d-1, d)
+    columns before deduplication), computed on its own: the
+    single-degree oracle for the profile of `_hilbert_levels`."""
+    if field.q != ps.q:
+        raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
+    _check_cells(ps.size, ps.s, d, caps.matrix_cap(cap))
     mons = monomial_matrix(ps.s, d)
     E = evaluation_columns(ps, mons, field)
     E = _unique_rows(E)
     rank = gf_rank(E, field)
     if rank > min(E.shape):
         raise ConsistencyError("rank exceeded its dimension bound")
+    _check_distinct(rank, E.shape[0])
     return rank
+
+
+def _new_monomials(s: int, d: int) -> np.ndarray:
+    """Degree-d monomials free of x_1.  For d > 0 the remaining degree-d
+    monomials are x_1 times those of degree d-1."""
+    if d == 0:
+        return monomial_matrix(s, 0)
+    if s == 1:
+        return np.zeros((0, 1), dtype=np.int64)
+    tail = monomial_matrix(s - 1, d)
+    return np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
+
+
+def _hilbert_levels(ps: PointSet, field: Field, cap=None):
+    """H(0), H(1), ... of the point set, from one resumable elimination.
+
+    On canonical representatives x_1 = 1, so x_1 * m evaluates like m:
+    the distinct rows of degree d-1 are exactly those of degree d that
+    some x_1-divisible monomial gives.  Degree d therefore only builds
+    the rows of the monomials free of x_1, drops those already seen in
+    any lower degree, and appends the rest, through the regular
+    representation, as new columns of the transposed matrix in one
+    `_PrimeEchelon`.  Each degree is checked against the matrix cap
+    before it is built.
+    """
+    if field.q != ps.q:
+        raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
+    if np.any(ps.points[:, 0] != 0):
+        raise ConsistencyError("point set is not in canonical form: first log is not 0")
+    limit = caps.matrix_cap(cap)
+    size, k = ps.size, field.k
+    # distinct rows <= C(s+d-1, d) <= limit // size at every degree that passes the cap
+    echelon = _PrimeEchelon(size * k, field.p, capacity=min(size, limit // size) * k)
+    blocks = _multiplication_blocks(field)
+    seen = set()
+    for d in count():
+        _check_cells(size, ps.s, d, limit)
+        E = evaluation_columns(ps, _new_monomials(ps.s, d), field)
+        E = _unique_rows(E, seen)
+        echelon.add_columns(_regular_columns(E, blocks))
+        h = _rank_over_q(echelon, k)
+        _check_distinct(h, len(seen))
+        yield h
 
 
 def regularity_rank(
@@ -296,8 +415,7 @@ def regularity_rank(
     target = ps.size
     ceiling = (g.s - 1) * (q - 2) + 1
     values = []
-    for d in range(ceiling + 1):
-        h = hilbert_value(ps, d, field, cap=matrix_cap)
+    for d, h in zip(range(ceiling + 1), _hilbert_levels(ps, field, matrix_cap)):
         if values and h <= values[-1]:
             raise ConsistencyError(
                 f"Hilbert function not strictly increasing at degree {d}"

@@ -322,6 +322,12 @@ def test_cli_invalid_inputs(capsys, tmp_path):
     six.write_text(json.dumps([{"spec": "cycle(4)", "q": [3, 6]}]))
     text_q = tmp_path / "text_q.json"
     text_q.write_text(json.dumps([{"spec": "cycle(4)", "q": ["3"]}]))
+    no_spec = tmp_path / "no_spec.json"
+    no_spec.write_text(json.dumps([{"q": [3]}]))
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text(json.dumps(["cycle(4)"]))
+    int_spec = tmp_path / "int_spec.json"
+    int_spec.write_text(json.dumps([{"spec": 5}]))
     cases = [
         ["reg", "parallel(3)", "-q", "3"],
         ["hilbert", "cycle(4)", "-q", "3", "--max-degree", "-1"],
@@ -337,6 +343,9 @@ def test_cli_invalid_inputs(capsys, tmp_path):
         ["verify", "--q", "3,6", "--skip-bounds"],
         ["verify", "--catalog", str(six), "--skip-bounds"],
         ["verify", "--catalog", str(text_q), "--skip-bounds"],
+        ["verify", "--catalog", str(no_spec), "--skip-bounds"],
+        ["verify", "--catalog", str(not_object), "--skip-bounds"],
+        ["verify", "--catalog", str(int_spec), "--skip-bounds"],
     ]
     cases += [
         ["reg", "cycle(4)", "-q", "6", "--method", method]

@@ -8,7 +8,8 @@ from toricreg.errors import ConsistencyError, TooLargeError
 from toricreg.field import Field, ZERO
 from toricreg.graph import cycle_graph, parallel_composition, path_graph, simplify
 from toricreg.hilbert import (
-    _rank_prime_blocked,
+    _PrimeEchelon,
+    _hilbert_levels,
     evaluation_columns,
     gf_rank,
     hilbert_value,
@@ -18,7 +19,9 @@ from toricreg.hilbert import (
     regularity_rank,
 )
 from toricreg.ideal import regularity_sieve
-from toricreg.points import enumerate_points
+from toricreg.points import PointSet, enumerate_points
+
+from test_graph import _random_multigraph
 
 
 def test_monomials_order_and_count():
@@ -58,6 +61,11 @@ def test_profiles():
     prof = regularity_rank(parallel_composition((1, 1)), 3)
     assert prof.values == (1,) and prof.regularity == 0
     assert prof.strictly_increasing_then_constant()
+
+
+def _rank_p(mat, p, block=256):
+    mat = np.asarray(mat)
+    return _PrimeEchelon(mat.shape[0], p, block=block).add_columns(mat)
 
 
 def _random_log_matrix(rng, q, m, n, density=0.85):
@@ -102,7 +110,7 @@ def test_rank_paths_agree_with_reference(q):
             idx = np.where(arr < 0, 0, arr)
             vals = field.exp_array[idx]
             vals[arr < 0] = 0
-            assert _rank_prime_blocked(vals, field.p) == expected
+            assert _rank_p(vals, field.p) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
@@ -115,9 +123,9 @@ def test_blocked_rank_crosses_block_boundaries(p):
     field = Field(p)
     logs = [[field.from_int(int(x) % p) for x in row] for row in mat]
     expected = rank_reference(logs, field)
-    assert _rank_prime_blocked(mat, p, block=16) == expected
-    assert _rank_prime_blocked(mat, p, block=4) == expected
-    assert _rank_prime_blocked(mat, p) == expected
+    assert _rank_p(mat, p, block=16) == expected
+    assert _rank_p(mat, p, block=4) == expected
+    assert _rank_p(mat, p) == expected
 
 
 def _product(field, a, b):
@@ -155,7 +163,67 @@ def test_blocked_rank_full_rank_square():
     field = Field(p)
     logs = [[field.from_int(int(x) % p) for x in row] for row in mat]
     expected = rank_reference(logs, field)
-    assert _rank_prime_blocked(mat, p, block=8) == expected
+    assert _rank_p(mat, p, block=8) == expected
+
+
+def _low_rank(rng, p, m, n, r, zero_cols=0):
+    """An m x n matrix over GF(p) of rank <= r, some columns zeroed."""
+    mat = (rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))) % p
+    mat[:, rng.choice(n, size=zero_cols, replace=False)] = 0
+    return mat
+
+
+@pytest.mark.parametrize(
+    "p,block", [(2, 256), (3, 256), (5, 256), (7, 256), (5, 16), (2039, 4), (4093, 1)]
+)
+def test_echelon_batches_match_one_shot(p, block):
+    """Feeding columns in random batches gives, after every batch, the
+    rank of the columns fed so far.  Cuts fall inside column blocks; the
+    matrices have zero columns, deficient rank and more columns than
+    rows.  At p = 2039 with block 4 an entry has room for four products
+    and at p = 4093 with block 1 for one, so the delayed reduction runs
+    between most updates."""
+    rng = np.random.default_rng(p * 1000 + block)
+    field = Field(p)
+    cases = [
+        _low_rank(rng, p, 30, 300, 20, zero_cols=25),
+        _low_rank(rng, p, 24, 340, 24, zero_cols=10),
+        _low_rank(rng, p, 40, 25, 12, zero_cols=3),
+        np.zeros((12, 9), dtype=np.int64),
+    ]
+    for mat in cases:
+        m, n = mat.shape
+        logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
+        assert _rank_p(mat, p, block) == rank_reference(logs, field)
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(6, n - 1), replace=False))
+        echelon = _PrimeEchelon(m, p, block=block)
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            got = echelon.add_columns(mat[:, lo:hi])
+            assert got == _rank_p(mat[:, :hi], p, block), (lo, hi)
+        assert echelon.rank == _rank_p(mat, p, block)
+
+
+def test_echelon_reduces_before_a_panel_overflows():
+    """At p = 2897 with block 2 an entry reduced below p has room for
+    two products of (p-1)**2 in float32.  The second batch takes two
+    such products from the replay of the first batch's pivots, and its
+    panel would add a third to the entry that decides the last pivot:
+    unreduced, that entry is odd and above 2**24, so it would round."""
+    p = 2897
+    mat = np.array(
+        [
+            [1, 0, p - 1, p - 1],
+            [0, 1, p - 1, p - 1],
+            [p - 1, p - 1, 3, 1],
+            [p - 1, p - 1, 1, 3],
+        ]
+    )
+    field = Field(p)
+    logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
+    echelon = _PrimeEchelon(4, p, block=2)
+    assert echelon.dtype == np.float32
+    echelon.add_columns(mat[:, :2])
+    assert echelon.add_columns(mat[:, 2:]) == rank_reference(logs, field) == 3
 
 
 def test_evaluation_columns_shape_and_range():
@@ -188,3 +256,62 @@ def test_rank_against_sieve_spot():
     for ks, q in (((2, 3), 4), ((1, 2, 3), 3), ((2, 2, 2), 4)):
         g = parallel_composition(ks)
         assert regularity_rank(g, q).regularity == regularity_sieve(g, q)
+
+
+def _small_instances():
+    """(graph, q) pairs: fixed ones covering q = 2, 3, 4, 5, 7, 8, 9, then
+    seeded random multigraphs small enough to rank at every degree."""
+    fixed = [
+        (parallel_composition((1, 2, 3)), 2),
+        (parallel_composition((1, 2, 3)), 3),
+        (parallel_composition((2, 3)), 4),
+        (parallel_composition((2, 2, 2)), 4),
+        (parallel_composition((1, 3)), 5),
+        (cycle_graph(5), 5),
+        (cycle_graph(4), 7),
+        (parallel_composition((1, 2)), 8),
+        (cycle_graph(3), 9),
+    ]
+    yield from fixed
+    rng = random.Random(20261018)
+    for _ in range(40):
+        g = _random_multigraph(rng)
+        qs = [q for q in (2, 3, 4, 5, 7, 8, 9) if (q - 1) ** g.n <= 2000]
+        yield g, rng.choice(qs)
+
+
+def test_profile_matches_single_degree_oracle():
+    for g, q in _small_instances():
+        prof = regularity_rank(g, q)
+        ps = enumerate_points(g, q)
+        field = Field(q)
+        oracle = [hilbert_value(ps, d, field) for d in range(len(prof.values))]
+        assert list(prof.values) == oracle, (g.edges, q)
+        assert prof.strictly_increasing_then_constant()
+
+
+def test_levels_need_canonical_points():
+    g = cycle_graph(3)
+    ps = enumerate_points(g, 5)
+    shifted = PointSet(5, ps.s, (ps.points + 1) % 4)
+    with pytest.raises(ConsistencyError):
+        regularity_rank(g, 5, points=shifted)
+    with pytest.raises(ConsistencyError):
+        next(_hilbert_levels(shifted, Field(5)))
+
+
+def test_rank_equals_distinct_rows_is_checked(monkeypatch):
+    import toricreg.hilbert as hilbert
+
+    g = cycle_graph(3)
+    ps = enumerate_points(g, 5)
+    field = Field(5)
+    unique = hilbert._unique_rows
+    # a repeated row leaves the rank one short of the row count
+    monkeypatch.setattr(hilbert, "_unique_rows", lambda E: np.vstack([unique(E), unique(E)[:1]]))
+    with pytest.raises(ConsistencyError):
+        hilbert_value(ps, 2, field)
+    # rows that never reach the carried set leave it smaller than the rank
+    monkeypatch.setattr(hilbert, "_unique_rows", lambda E, seen: unique(E))
+    with pytest.raises(ConsistencyError):
+        regularity_rank(g, 5, points=ps)
