@@ -35,7 +35,6 @@ from .graph import (
     delete_pendant,
     edge_subgraph,
     family,
-    find_ears,
     graph_stats,
     identify_vertices,
     parallel_composition,

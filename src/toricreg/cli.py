@@ -34,7 +34,6 @@ from .harness import (
     _formula_for_entry,
     default_catalog,
     evaluate_entry,
-    CatalogEntry,
     load_catalog,
     parse_graph_spec,
     reports_to_json,
@@ -64,16 +63,6 @@ def _parse_exponents(text: str, s: int):
     return vec
 
 
-def _entry_for(spec_text: str) -> CatalogEntry:
-    parsed = parse_graph_spec(spec_text)
-    return CatalogEntry(
-        label=parsed.label,
-        graph=parsed.graph,
-        kind=parsed.kind,
-        params=parsed.params,
-    )
-
-
 def _cmd_show(args) -> int:
     parsed = parse_graph_spec(args.spec)
     g = parsed.graph
@@ -86,7 +75,7 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_reg(args) -> int:
-    entry = _entry_for(args.spec)
+    entry = parse_graph_spec(args.spec)
     g = entry.graph
     if args.edge is not None and not (1 <= args.edge <= g.s):
         raise ParseError(f"edge index must be in 1..{g.s}")

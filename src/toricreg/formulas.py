@@ -17,7 +17,6 @@ from .errors import (
     InvalidSpecError,
     InvalidWitnessError,
     NotApplicableError,
-    TooLargeError,
 )
 from .graph import (
     Multigraph,
@@ -33,7 +32,7 @@ from .graph import (
     path_graph,
     simplify,
 )
-from .hilbert import evaluation_cells, regularity_rank
+from .hilbert import check_cells, regularity_rank
 from .ideal import regularity_sieve
 from .points import degree_formula
 
@@ -139,12 +138,12 @@ def reg_closed_form(kind: str, params, q: int) -> FormulaResult:
                 f"complete-graph row would read {qm2}",
             )
         return FormulaResult(-((n - 1) * qm2 // -2), "complete")
-    if kind in ("complete_bipartite", "biclique"):
+    if kind == "biclique":
         a, b = params
         if a < 1 or b < 1:
             return _na("biclique", "part sizes must be >= 1")
         return FormulaResult((max(a, b) - 1) * qm2, "biclique")
-    if kind in ("complete_multipartite", "multipartite"):
+    if kind == "multipartite":
         sizes = params
         if len(sizes) < 2 or any(a < 1 for a in sizes):
             return _na("multipartite", "need >= 2 parts of size >= 1")
@@ -286,13 +285,8 @@ def _row(name, lhs, rhs, relation, detail=""):
 def _rank_value(g, q, matrix_cap):
     # size the final evaluation matrix up front (the cheap sieve predicts
     # the saturation degree) so hopeless computations fail fast
-    d_est = regularity_sieve(g, q)
-    cells = evaluation_cells(degree_formula(graph_stats(g), q), g.s, d_est)
-    limit = caps.matrix_cap(matrix_cap)
-    if cells > limit:
-        raise TooLargeError(
-            f"derived instance needs {cells} evaluation cells, cap is {limit}"
-        )
+    size = degree_formula(graph_stats(g), q)
+    check_cells(size, g.s, regularity_sieve(g, q), caps.matrix_cap(matrix_cap))
     return regularity_rank(g, q, matrix_cap=matrix_cap).regularity
 
 

@@ -193,27 +193,30 @@ def star_graph(leaves: int) -> Multigraph:
     return Multigraph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
-_FAMILIES = {
-    "path": lambda p: path_graph(*p),
-    "cycle": lambda p: cycle_graph(*p),
-    "complete": lambda p: complete_graph(*p),
-    "complete_bipartite": lambda p: complete_bipartite(*p),
-    "complete_multipartite": lambda p: complete_multipartite(*p),
-    "star": lambda p: star_graph(*p),
+FAMILIES = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "biclique": complete_bipartite,
+    "multipartite": complete_multipartite,
+    "parallel": lambda *lengths: parallel_composition(lengths),
+    "star": star_graph,
 }
 
 
 def family(kind: str, params) -> Multigraph:
-    """Construct a named graph family; vertex/edge order is deterministic
-    (vertices in construction order, edges lexicographic by endpoint pair)."""
+    """Construct a named graph family, keyed by the spec grammar's names;
+    vertex/edge order is deterministic (see each constructor)."""
     try:
-        builder = _FAMILIES[kind]
+        builder = FAMILIES[kind]
     except KeyError:
         raise InvalidSpecError(f"unknown family {kind!r}") from None
     try:
-        return builder(tuple(params))
+        return builder(*params)
     except TypeError:
-        raise InvalidSpecError(f"bad parameters {params!r} for {kind}") from None
+        raise InvalidSpecError(
+            f"bad parameters {tuple(params)!r} for {kind}"
+        ) from None
 
 
 def _traverse(g: Multigraph):
@@ -435,8 +438,3 @@ def ear_walks(g: Multigraph):
             cur = y if cur == x else x
         walks.append((tuple(seq), a, a, True))
     return walks
-
-
-def find_ears(g: Multigraph):
-    """Edge sequences of the maximal degree-2-interior chains."""
-    return [seq for seq, _, _, _ in ear_walks(g)]

@@ -14,7 +14,7 @@ import json
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations_with_replacement
 
 from . import caps
@@ -31,18 +31,8 @@ from .formulas import (
     reg_closed_form,
     verify_bounds,
 )
-from .graph import (
-    Multigraph,
-    complete_bipartite,
-    complete_graph,
-    complete_multipartite,
-    cycle_graph,
-    graph_stats,
-    parallel_composition,
-    path_graph,
-    star_graph,
-)
-from .hilbert import evaluation_cells, regularity_rank
+from .graph import FAMILIES, Multigraph, family, graph_stats
+from .hilbert import check_cells, regularity_rank
 from .ideal import regularity_sieve
 from .points import degree_formula, enumerate_points
 
@@ -52,31 +42,25 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 CSV_HEADER = "spec,q,method,value,degree_formula,degree_enum,agree,ms"
 
 _ROW_CELL_BUDGET = 20_000_000
+_BOUND_POINT_BUDGET = 1024
 
 
 # -- graph spec DSL -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ParsedSpec:
+class CatalogEntry:
     label: str
-    kind: str
-    params: tuple
     graph: Multigraph
+    kind: str
+    params: tuple = ()
+    expect_reg: int | None = None
+    qs: tuple | None = None
 
 
-_CONSTRUCTORS = {
-    "path": (path_graph, "path"),
-    "cycle": (cycle_graph, "cycle"),
-    "complete": (complete_graph, "complete"),
-    "biclique": (complete_bipartite, "biclique"),
-    "multipartite": (complete_multipartite, "multipartite"),
-    "parallel": (parallel_composition, "parallel"),
-}
-
-
-def parse_graph_spec(text: str) -> ParsedSpec:
-    """Parse `name(i1,...,ik)` or `file:PATH` into a graph.
+def parse_graph_spec(text: str) -> CatalogEntry:
+    """Parse `name(i1,...,ik)` or `file:PATH` into a catalog entry whose
+    label is the spec; `name` is a key of `graph.FAMILIES`.
 
     The JSON file format is {"n": int, "edges": [[u, w], ...]} with
     0-indexed vertices; the edge-list order defines the variables.
@@ -95,7 +79,7 @@ def parse_graph_spec(text: str) -> ParsedSpec:
             g = Multigraph(int(payload["n"]), [tuple(e) for e in payload["edges"]])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad graph file {path}: {exc}") from exc
-        return ParsedSpec(label=text, kind="graph", params=(), graph=g)
+        return CatalogEntry(text, g, "graph")
     m = re.fullmatch(r"([a-z_]+)\((.*)\)", text)
     if not m:
         pos = next(
@@ -104,7 +88,7 @@ def parse_graph_spec(text: str) -> ParsedSpec:
         )
         raise ParseError(f"cannot parse {text!r} (unexpected input at position {pos})")
     name, arg_text = m.group(1), m.group(2)
-    if name not in _CONSTRUCTORS:
+    if name not in FAMILIES:
         raise ParseError(f"unknown constructor {name!r} at position 0")
     params = []
     for tok in arg_text.split(","):
@@ -117,12 +101,7 @@ def parse_graph_spec(text: str) -> ParsedSpec:
             raise ParseError(
                 f"bad integer {tok!r} at position {text.index(tok)}"
             ) from None
-    builder, kind = _CONSTRUCTORS[name]
-    if name in ("parallel", "multipartite"):
-        graph = builder(params) if name == "parallel" else builder(*params)
-    else:
-        graph = builder(*params)
-    return ParsedSpec(label=text, kind=kind, params=tuple(params), graph=graph)
+    return CatalogEntry(text, family(name, params), name, tuple(params))
 
 
 # -- reports --------------------------------------------------------------
@@ -143,9 +122,6 @@ class RegularityReport:
     sieve_ms: float
     formula_ms: float
     note: str = ""
-
-    def method_values(self):
-        return {"rank": self.rank, "sieve": self.sieve, "formula": self.formula}
 
     def csv_rows(self):
         out = []
@@ -188,55 +164,24 @@ def _agreement(values, degree_formula, degree_enum) -> bool:
 # -- catalog --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    label: str
-    graph: Multigraph
-    kind: str
-    params: tuple = ()
-    expect_reg: int | None = None
-    qs: tuple | None = None
-
-
-def _parallel_entry(ks) -> CatalogEntry:
-    label = f"parallel({','.join(map(str, ks))})"
-    return CatalogEntry(label, parallel_composition(ks), "parallel", tuple(ks))
-
-
 def default_catalog() -> list:
     """Catalog covering the parallel-composition sweep (r in {2, 3}, path
     lengths up to 5, at most 9 edges), one four-path instance for the last
     mixed-parity case, the closed-form families, small trees, a two-block
-    cactus, and a disconnected graph."""
-    entries = []
-    for r in (2, 3):
-        for ks in combinations_with_replacement(range(1, 6), r):
-            if sum(ks) <= 9:
-                entries.append(_parallel_entry(ks))
-    entries.append(_parallel_entry((2, 2, 3, 3)))
-    for k in (3, 4, 5, 6):
-        entries.append(
-            CatalogEntry(f"cycle({k})", cycle_graph(k), "cycle", (k,))
-        )
-    entries.append(
-        CatalogEntry("biclique(2,2)", complete_bipartite(2, 2), "biclique", (2, 2))
-    )
-    entries.append(
-        CatalogEntry("biclique(2,3)", complete_bipartite(2, 3), "biclique", (2, 3))
-    )
-    entries.append(CatalogEntry("complete(4)", complete_graph(4), "complete", (4,)))
-    entries.append(
-        CatalogEntry(
-            "multipartite(1,1,2)",
-            complete_multipartite(1, 1, 2),
-            "multipartite",
-            (1, 1, 2),
-        )
-    )
-    for k in range(1, 6):
-        entries.append(CatalogEntry(f"path({k})", path_graph(k), "path", (k,)))
-    for k in (2, 3, 4):
-        entries.append(CatalogEntry(f"star({k})", star_graph(k), "star", (k,)))
+    cactus, and a disconnected graph.  Every instance the spec grammar
+    can name is built by parsing its label."""
+    specs = [
+        f"parallel({','.join(map(str, ks))})"
+        for r in (2, 3)
+        for ks in combinations_with_replacement(range(1, 6), r)
+        if sum(ks) <= 9
+    ]
+    specs.append("parallel(2,2,3,3)")
+    specs += [f"cycle({k})" for k in (3, 4, 5, 6)]
+    specs += ["biclique(2,2)", "biclique(2,3)", "complete(4)", "multipartite(1,1,2)"]
+    specs += [f"path({k})" for k in range(1, 6)]
+    specs += [f"star({k})" for k in (2, 3, 4)]
+    entries = [parse_graph_spec(spec) for spec in specs]
     entries.append(
         CatalogEntry(
             "tree[0-1;1-2;1-3;3-4;3-5]",
@@ -272,21 +217,17 @@ def load_catalog(path) -> list:
     for item in payload:
         if not (isinstance(item, dict) and isinstance(item.get("spec"), str)):
             raise ParseError(f'catalog entry must be an object with a string "spec", got {item!r}')
-        parsed = parse_graph_spec(item["spec"])
+        entry = parse_graph_spec(item["spec"])
         qs = item.get("q")
         if qs is not None and not (
             isinstance(qs, list) and all(type(q) is int for q in qs)
         ):
             raise ParseError(f"catalog q must be a list of integers, got {qs!r}")
+        expect = item.get("expect_reg")
+        if expect is not None and type(expect) is not int:
+            raise ParseError(f"catalog expect_reg must be an integer, got {expect!r}")
         entries.append(
-            CatalogEntry(
-                label=parsed.label,
-                graph=parsed.graph,
-                kind=parsed.kind,
-                params=parsed.params,
-                expect_reg=item.get("expect_reg"),
-                qs=None if qs is None else tuple(qs),
-            )
+            replace(entry, expect_reg=expect, qs=None if qs is None else tuple(qs))
         )
     return entries
 
@@ -357,18 +298,7 @@ def _formula_for_entry(entry: CatalogEntry, q: int):
     return reg_closed_form(entry.kind, entry.params, q)
 
 
-def _sieve_estimate_fits(g, sieve_value, size) -> bool:
-    if not isinstance(sieve_value, int):
-        return False
-    return evaluation_cells(size, g.s, sieve_value) <= caps.matrix_cap()
-
-
-def evaluate_entry(
-    entry: CatalogEntry,
-    q: int,
-    with_bounds: bool = True,
-    bound_point_budget: int = 1024,
-) -> tuple:
+def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tuple:
     """Run all methods on one (instance, q) pair.  Returns the report and
     the list of (bound row) results."""
     g = entry.graph
@@ -396,12 +326,14 @@ def evaluate_entry(
 
     rank_value = NOT_RUN
     rank_ms = 0.0
-    if ps is not None and _sieve_estimate_fits(g, sieve_value, ps.size):
+    if ps is not None and isinstance(sieve_value, int):
         t0 = time.perf_counter()
         try:
+            # the sieve value is the last degree: refuse hopeless ranks up front
+            check_cells(ps.size, g.s, sieve_value, caps.matrix_cap())
             rank_value = regularity_rank(g, q, points=ps).regularity
         except TooLargeError:
-            rank_value = NOT_RUN
+            pass
         rank_ms = (time.perf_counter() - t0) * 1000.0
 
     values = [rank_value, sieve_value, formula_value]
@@ -433,7 +365,7 @@ def evaluate_entry(
         with_bounds
         and ps is not None
         and isinstance(rank_value, int)
-        and ps.size <= bound_point_budget
+        and ps.size <= _BOUND_POINT_BUDGET
     ):
         for w in auto_witnesses(g, entry.kind, entry.params):
             try:
@@ -447,11 +379,9 @@ def evaluate_entry(
 
 
 def _evaluate_job(args):
-    entry, q, with_bounds, budget = args
+    entry, q, with_bounds = args
     try:
-        return evaluate_entry(
-            entry, q, with_bounds=with_bounds, bound_point_budget=budget
-        )
+        return evaluate_entry(entry, q, with_bounds=with_bounds)
     except Exception as exc:  # record, never abort the sweep
         report = RegularityReport(
             spec=entry.label,
@@ -488,7 +418,6 @@ def verify_suite(
     q_list=(3, 4, 5),
     jobs: int = 1,
     with_bounds: bool = True,
-    bound_point_budget: int = 1024,
 ) -> SuiteResult:
     """Cross-check every catalog instance at every q.  Jobs fan out to a
     process pool; results are merged in sorted (spec, q) order either way."""
@@ -497,7 +426,7 @@ def verify_suite(
     work = []
     for entry in entries:
         for q in entry.qs or q_list:
-            work.append((entry, q, with_bounds, bound_point_budget))
+            work.append((entry, q, with_bounds))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_evaluate_job, work))

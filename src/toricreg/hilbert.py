@@ -316,15 +316,11 @@ class HilbertProfile:
         )
 
 
-def evaluation_cells(size: int, s: int, d: int) -> int:
-    """Cells of the degree-d evaluation matrix over `size` points and s
-    variables before deduplication: size * C(s+d-1, d).  The matrix cap
-    is compared against this count."""
-    return size * comb(s + d - 1, d)
-
-
-def _check_cells(size: int, s: int, d: int, limit: int) -> None:
-    cells = evaluation_cells(size, s, d)
+def check_cells(size: int, s: int, d: int, limit: int) -> None:
+    """The one matrix-cap check: refuse the degree-d evaluation matrix
+    over `size` points and s variables if its cell count before
+    deduplication, size * C(s+d-1, d), exceeds `limit`."""
+    cells = size * comb(s + d - 1, d)
     if cells > limit:
         raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
 
@@ -341,7 +337,7 @@ def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
     single-degree oracle for the profile of `_hilbert_levels`."""
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
-    _check_cells(ps.size, ps.s, d, caps.matrix_cap(cap))
+    check_cells(ps.size, ps.s, d, caps.matrix_cap(cap))
     mons = monomial_matrix(ps.s, d)
     E = evaluation_columns(ps, mons, field)
     E = _unique_rows(E)
@@ -386,7 +382,7 @@ def _hilbert_levels(ps: PointSet, field: Field, cap=None):
     blocks = _multiplication_blocks(field)
     seen = set()
     for d in count():
-        _check_cells(size, ps.s, d, limit)
+        check_cells(size, ps.s, d, limit)
         E = evaluation_columns(ps, _new_monomials(ps.s, d), field)
         E = _unique_rows(E, seen)
         echelon.add_columns(_regular_columns(E, blocks))

@@ -82,15 +82,21 @@ def test_parallel_spec_validation():
 
 def test_family_examples():
     assert family("cycle", (4,)).s == 4
-    assert family("complete_bipartite", (2, 3)).s == 6
-    assert family("complete_multipartite", (1, 1, 2)).s == 5
+    assert family("biclique", (2, 3)).s == 6
+    assert family("multipartite", (1, 1, 2)).s == 5
     assert family("star", (3,)).s == 3
-    with pytest.raises(InvalidSpecError):
-        family("cycle", (2,))
-    with pytest.raises(InvalidSpecError):
-        family("complete_bipartite", (0, 2))
-    with pytest.raises(InvalidSpecError):
-        family("nonesuch", (1,))
+    assert family("parallel", (1, 2)) == parallel_composition((1, 2))
+    for kind, params in (
+        ("cycle", (2,)),
+        ("biclique", (0, 2)),
+        ("nonesuch", (1,)),
+        # wrong arity is a bad spec, not a TypeError
+        ("cycle", (1, 2)),
+        ("biclique", (2,)),
+        ("path", ()),
+    ):
+        with pytest.raises(InvalidSpecError):
+            family(kind, params)
 
 
 def test_graph_stats_examples():

@@ -39,8 +39,9 @@ def test_parse_examples():
 
 
 def test_parse_errors():
-    with pytest.raises(InvalidSpecError):
-        parse_graph_spec("parallel(3)")
+    for spec in ("parallel(3)", "cycle(1,2)", "biclique(2)", "path(2,3)"):
+        with pytest.raises(InvalidSpecError):
+            parse_graph_spec(spec)
     with pytest.raises(ParseError):
         parse_graph_spec("")
     with pytest.raises(ParseError):
@@ -148,6 +149,23 @@ def test_default_catalog_parses_and_covers_rows():
     assert "cactus[C4;C4]" in labels
     assert "disjoint-edges[2]" in labels
     assert len(labels) == len(entries)
+
+
+def test_default_catalog_labels_are_specs():
+    # the verify CSV and the benchmark's pinned values key on these labels
+    hand_built = []
+    for entry in default_catalog():
+        if "[" in entry.label:
+            hand_built.append(entry.label)
+            continue
+        assert parse_graph_spec(entry.label) == entry
+        assert entry.label == f"{entry.kind}({','.join(map(str, entry.params))})"
+    assert hand_built == [
+        "tree[0-1;1-2;1-3;3-4;3-5]",
+        "cactus[C4;C4]",
+        "disjoint-edges[2]",
+    ]
+    assert default_catalog() is not default_catalog()
 
 
 def test_verify_suite_small_catalog():
@@ -328,8 +346,16 @@ def test_cli_invalid_inputs(capsys, tmp_path):
     not_object.write_text(json.dumps(["cycle(4)"]))
     int_spec = tmp_path / "int_spec.json"
     int_spec.write_text(json.dumps([{"spec": 5}]))
+    text_expect = tmp_path / "text_expect.json"
+    text_expect.write_text(json.dumps([{"spec": "cycle(4)", "expect_reg": "7"}]))
+    bool_expect = tmp_path / "bool_expect.json"
+    bool_expect.write_text(json.dumps([{"spec": "cycle(4)", "expect_reg": True}]))
     cases = [
         ["reg", "parallel(3)", "-q", "3"],
+        # wrong number of family parameters
+        ["reg", "cycle(1,2)", "-q", "3"],
+        ["reg", "biclique(2)", "-q", "3"],
+        ["reg", "path(2,3)", "-q", "3"],
         ["hilbert", "cycle(4)", "-q", "3", "--max-degree", "-1"],
         ["member", "path(2)", "-q", "3", "--monomial", "1"],
         # neither --binomial nor --mod-edge
@@ -346,6 +372,9 @@ def test_cli_invalid_inputs(capsys, tmp_path):
         ["verify", "--catalog", str(no_spec), "--skip-bounds"],
         ["verify", "--catalog", str(not_object), "--skip-bounds"],
         ["verify", "--catalog", str(int_spec), "--skip-bounds"],
+        # expect_reg must be an integer: "7" was ignored, true compared as 1
+        ["verify", "--catalog", str(text_expect), "--skip-bounds"],
+        ["verify", "--catalog", str(bool_expect), "--skip-bounds"],
     ]
     cases += [
         ["reg", "cycle(4)", "-q", "6", "--method", method]
