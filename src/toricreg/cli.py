@@ -108,7 +108,7 @@ def _cmd_reg(args) -> int:
         value = fr.value
     ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
-        print(json.dumps({"spec": args.spec, "q": args.q, "method": args.method,
+        print(json.dumps({"spec": entry.label, "q": args.q, "method": args.method,
                           "value": value, "ms": ms}))
     else:
         print(value)
@@ -132,13 +132,12 @@ def _cmd_hilbert(args) -> int:
     max_d = args.max_degree
     if max_d is not None and max_d < 0:
         raise ParseError("--max-degree must be nonnegative")
-    field = Field(args.q)
     ps = enumerate_points(g, args.q)
     target = ps.size
     if max_d is None:
         values = regularity_rank(g, args.q, points=ps).values
     else:
-        values = islice(_hilbert_levels(ps, field), max_d + 1)
+        values = islice(_hilbert_levels(ps, Field(args.q)), max_d + 1)
     reg = None
     for d, h in enumerate(values):
         print(f"H({d}) = {h}")

@@ -220,9 +220,9 @@ def load_catalog(path) -> list:
         entry = parse_graph_spec(item["spec"])
         qs = item.get("q")
         if qs is not None and not (
-            isinstance(qs, list) and all(type(q) is int for q in qs)
+            isinstance(qs, list) and qs and all(type(q) is int for q in qs)
         ):
-            raise ParseError(f"catalog q must be a list of integers, got {qs!r}")
+            raise ParseError(f"catalog q must be a nonempty list of integers, got {qs!r}")
         expect = item.get("expect_reg")
         if expect is not None and type(expect) is not int:
             raise ParseError(f"catalog expect_reg must be an integer, got {expect!r}")

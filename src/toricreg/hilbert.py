@@ -3,10 +3,10 @@
 The value at degree d is the rank of the matrix whose rows are the
 degree-d monomials and whose columns are the points, each entry the
 monomial evaluated at the point; the regularity is the first d where
-the rank reaches the number of points.  In the log representation the
-matrix build is a single integer matrix product: entry(monomial, point)
-= g**(exponents . point).  Duplicate rows never change a rank, so rows
-are deduplicated by content before elimination.
+the rank reaches the number of points.  In the log representation
+entry(monomial, point) = g**(exponents . point), so a row is a vector of
+exponent sums mod q-1.  Duplicate rows never change a rank, so rows are
+deduplicated by content before elimination.
 
 Two elimination routines compute ranks:
 
@@ -24,16 +24,19 @@ representation: each entry becomes the k x k matrix over GF(p) of
 multiplication by it, and the GF(p) rank of the result is k times the
 GF(q) rank.  ``hilbert_value`` ranks a single degree on its own that way.
 
-The profile needs no re-elimination per degree.  Points are stored with
-first coordinate x_1 = 1, so x_1 * m and m give the same row: the rows
-of degree d-1 all reappear at degree d, and the degree-d matrix is the
-degree-(d-1) one plus the rows of the monomials free of x_1.
-``_hilbert_levels`` therefore feeds one echelon, transposed so that
-monomial rows arrive as columns, only the rows never seen in a lower
-degree, and reads H(0), H(1), ... off its growing rank.  On this point
-set, a group, distinct rows are distinct characters and hence
-independent, so every H(d) is also checked to equal the number of
-distinct rows.
+The two routes to H(d) build their rows by different methods, so each
+checks the other.  ``hilbert_value`` enumerates the degree-d monomials
+and evaluates them by one exact integer product.  The profile of
+``_hilbert_levels`` builds rows from the points alone: points are stored
+with first coordinate x_1 = 1, so the rows of degree d-1 all reappear at
+degree d, and every row new at degree d is a row new at degree d-1
+shifted by one point column j >= 2 (x_1 is regular on the quotient, as in
+Renteria-Simis-Villarreal, Finite Fields Appl. 2011).  It keeps that
+frontier of new rows, feeds one echelon, transposed so that rows arrive
+as columns, only the rows never seen in a lower degree, and reads H(0),
+H(1), ... off its growing rank.  On this point set, a group, distinct
+rows are distinct characters and hence independent, so every H(d) is
+also checked to equal the number of distinct rows.
 """
 
 from __future__ import annotations
@@ -80,21 +83,9 @@ def monomial_matrix(s: int, d: int) -> np.ndarray:
 
 def evaluation_columns(ps: PointSet, mons: np.ndarray, field: Field) -> np.ndarray:
     """Log-representation evaluation matrix, one row per monomial, one
-    column per point.  Never contains ZERO: points lie in the torus."""
-    qm1 = field.q - 1
-    bound = int(np.sum(mons[0])) * max(qm1 - 1, 1) if len(mons) else 0
-    ftype = np.float32 if bound < (1 << 24) else np.float64
-    A = np.asarray(mons, dtype=ftype)
-    P = ps.points.astype(ftype)
-    # dot products are bounded by d * (q-2), exact in the chosen dtype,
-    # so the float remainder is exact as well
-    E = A @ P.T
-    E %= qm1
-    if qm1 < 128:
-        return E.astype(np.int8)
-    if qm1 < 1 << 15:
-        return E.astype(np.int16)
-    return E.astype(np.int64)
+    column per point: the exact integer exponent sums mod q-1.  Never
+    contains ZERO: points lie in the torus."""
+    return np.asarray(mons, dtype=np.int64) @ ps.points.T % (field.q - 1)
 
 
 def _unique_rows(E: np.ndarray, seen: set | None = None) -> np.ndarray:
@@ -348,46 +339,40 @@ def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
     return rank
 
 
-def _new_monomials(s: int, d: int) -> np.ndarray:
-    """Degree-d monomials free of x_1.  For d > 0 the remaining degree-d
-    monomials are x_1 times those of degree d-1."""
-    if d == 0:
-        return monomial_matrix(s, 0)
-    if s == 1:
-        return np.zeros((0, 1), dtype=np.int64)
-    tail = monomial_matrix(s - 1, d)
-    return np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-
-
 def _hilbert_levels(ps: PointSet, field: Field, cap=None):
-    """H(0), H(1), ... of the point set, from one resumable elimination.
+    """H(0), H(1), ... of the point set from one resumable elimination,
+    with rows built from the points alone (see the module docstring).
 
-    On canonical representatives x_1 = 1, so x_1 * m evaluates like m:
-    the distinct rows of degree d-1 are exactly those of degree d that
-    some x_1-divisible monomial gives.  Degree d therefore only builds
-    the rows of the monomials free of x_1, drops those already seen in
-    any lower degree, and appends the rest, through the regular
-    representation, as new columns of the transposed matrix in one
-    `_PrimeEchelon`.  Each degree is checked against the matrix cap
-    before it is built.
+    Degree d's candidates are the rows new at degree d-1 shifted by each
+    point column j >= 2, mod q-1, one column at a time.  Those not seen
+    at a lower degree are the next frontier; they enter one
+    `_PrimeEchelon` as new columns of the transposed regular
+    representation.  Each degree is checked against the matrix cap
+    before it is built; once H reaches |X| it stays there, and nothing
+    more is built or checked.
     """
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
     if np.any(ps.points[:, 0] != 0):
         raise ConsistencyError("point set is not in canonical form: first log is not 0")
     limit = caps.matrix_cap(cap)
-    size, k = ps.size, field.k
+    size, qm1, k = ps.size, field.q - 1, field.k
     # distinct rows <= C(s+d-1, d) <= limit // size at every degree that passes the cap
     echelon = _PrimeEchelon(size * k, field.p, capacity=min(size, limit // size) * k)
     blocks = _multiplication_blocks(field)
+    # logs are below q-1, so the sum of two never overflows this dtype
+    P = ps.points.astype(np.min_scalar_type(2 * (qm1 - 1)))
+    frontier = np.zeros((1, size), P.dtype)  # the row of the monomial 1
     seen = set()
+    h = 0
     for d in count():
-        check_cells(size, ps.s, d, limit)
-        E = evaluation_columns(ps, _new_monomials(ps.s, d), field)
-        E = _unique_rows(E, seen)
-        echelon.add_columns(_regular_columns(E, blocks))
-        h = _rank_over_q(echelon, k)
-        _check_distinct(h, len(seen))
+        if h < size:
+            check_cells(size, ps.s, d, limit)
+            shifts = ((frontier + P[:, j]) % qm1 for j in range(1, ps.s)) if d else [frontier]
+            frontier = np.vstack([_unique_rows(E, seen) for E in shifts])
+            echelon.add_columns(_regular_columns(frontier, blocks))
+            h = _rank_over_q(echelon, k)
+            _check_distinct(h, len(seen))
         yield h
 
 

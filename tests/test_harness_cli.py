@@ -261,6 +261,10 @@ def test_cli_reg_json_roundtrip(capsys):
     assert main(["reg", "cycle(4)", "-q", "3", "--method", "all", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 1 and payload["agree"] is True
+    # every method names the instance by its parsed label, not the raw argument
+    for method in ("all", "rank", "sieve", "formula"):
+        assert main(["reg", " cycle(4) ", "-q", "3", "--method", method, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["spec"] == "cycle(4)", method
 
 
 def test_cli_reg_single_methods(capsys, monkeypatch, tmp_path):
@@ -305,10 +309,19 @@ def test_cli_member(capsys):
     assert capsys.readouterr().out.strip() == "IN I(X)"
 
 
-def test_cli_hilbert(capsys):
+def test_cli_hilbert(capsys, monkeypatch):
     assert main(["hilbert", "cycle(4)", "-q", "3"]) == 0
     out = capsys.readouterr().out
     assert "H(0) = 1" in out and "H(1) = 4" in out and "regularity: 1" in out
+    # past saturation H stays |X| with no matrix built, so the matrix cap
+    # (4 * C(16, 13) = 2240 cells at degree 13) is never consulted
+    monkeypatch.setenv("TORICREG_MAX_STATES", "2000")
+    assert main(["hilbert", "cycle(4)", "-q", "3", "--max-degree", "15"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-2:] == ["H(15) = 4", "regularity: 1  (degree 4)"]
+    # a degree before saturation is still refused: |X| * C(9, 2) = 64 * 36
+    assert main(["hilbert", "cycle(8)", "-q", "3", "--max-degree", "15"]) == 2
+    assert capsys.readouterr().err == "error: evaluation matrix has 2304 cells, cap is 2000\n"
 
 
 @pytest.mark.parametrize(
@@ -350,6 +363,8 @@ def test_cli_invalid_inputs(capsys, tmp_path):
     text_expect.write_text(json.dumps([{"spec": "cycle(4)", "expect_reg": "7"}]))
     bool_expect = tmp_path / "bool_expect.json"
     bool_expect.write_text(json.dumps([{"spec": "cycle(4)", "expect_reg": True}]))
+    empty_q = tmp_path / "empty_q.json"
+    empty_q.write_text(json.dumps([{"spec": "cycle(4)", "q": []}]))
     cases = [
         ["reg", "parallel(3)", "-q", "3"],
         # wrong number of family parameters
@@ -375,6 +390,8 @@ def test_cli_invalid_inputs(capsys, tmp_path):
         # expect_reg must be an integer: "7" was ignored, true compared as 1
         ["verify", "--catalog", str(text_expect), "--skip-bounds"],
         ["verify", "--catalog", str(bool_expect), "--skip-bounds"],
+        # an empty q list ran the --q list instead
+        ["verify", "--catalog", str(empty_q), "--skip-bounds"],
     ]
     cases += [
         ["reg", "cycle(4)", "-q", "6", "--method", method]

@@ -259,9 +259,13 @@ def test_rank_against_sieve_spot():
 
 
 def _small_instances():
-    """(graph, q) pairs: fixed ones covering q = 2, 3, 4, 5, 7, 8, 9, then
-    seeded random multigraphs small enough to rank at every degree."""
+    """(graph, q) pairs: fixed ones covering q = 2, 3, 4, 5, 7, 8, 9, 131
+    and s = 1, then seeded random multigraphs small enough to rank at
+    every degree.  At q = 131 a sum of two logs needs more than 8 bits."""
     fixed = [
+        (path_graph(1), 3),
+        (path_graph(1), 2),
+        (path_graph(2), 131),
         (parallel_composition((1, 2, 3)), 2),
         (parallel_composition((1, 2, 3)), 3),
         (parallel_composition((2, 3)), 4),
@@ -282,8 +286,8 @@ def _small_instances():
 
 def test_profile_matches_single_degree_oracle():
     for g, q in _small_instances():
-        prof = regularity_rank(g, q)
         ps = enumerate_points(g, q)
+        prof = regularity_rank(g, q, points=ps)
         field = Field(q)
         oracle = [hilbert_value(ps, d, field) for d in range(len(prof.values))]
         assert list(prof.values) == oracle, (g.edges, q)
