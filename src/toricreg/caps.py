@@ -1,9 +1,11 @@
 """Work caps guarding the exponential-cost operations.
 
 Point enumeration and residue-reachability walk a state space of size
-(q-1)**n; the Hilbert rank computation materialises an evaluation
-matrix.  Both refuse loudly (TooLargeError) instead of running forever.
-The environment variable TORICREG_MAX_STATES overrides both caps.
+(q-1)**n.  The rank route fills one GF(p) echelon of |X|*k rows by
+(distinct rows)*k columns, k = log_p q; only ``hilbert`` reads the cap
+on its cells, and it refuses before any elimination.  Both caps refuse
+loudly (TooLargeError) instead of running forever.  The environment
+variable TORICREG_MAX_STATES overrides both caps.
 """
 
 import os
@@ -11,7 +13,7 @@ import os
 ENV_VAR = "TORICREG_MAX_STATES"
 
 DEFAULT_STATE_CAP = 10_000_000
-DEFAULT_MATRIX_CAP = 250_000_000
+DEFAULT_MATRIX_CAP = 100_000_000  # 400 MB of float32 multipliers
 
 
 def _env_cap():
@@ -35,7 +37,7 @@ def state_cap(explicit=None):
 
 
 def matrix_cap(explicit=None):
-    """Cap on evaluation-matrix cells (rows times columns)."""
+    """Cap on rank-echelon cells (rows times columns)."""
     if explicit is not None:
         return explicit
     return _env_cap() or DEFAULT_MATRIX_CAP

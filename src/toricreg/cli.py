@@ -96,20 +96,21 @@ def _cmd_reg(args) -> int:
         return 0 if report.agree else 1
     edge = args.edge - 1 if args.edge is not None else 0
     t0 = time.perf_counter()
+    reason = {}
     if args.method == "rank":
         value = regularity_rank(g, args.q).regularity
     elif args.method == "sieve":
         value = regularity_sieve(g, args.q, edge=edge)
     else:
         fr = _formula_for_entry(entry, args.q)
-        if not fr.applicable:
-            print(f"formula: {NOT_APPLICABLE} ({fr.reason or ''})")
-            return 0
-        value = fr.value
+        value = fr.value if fr.applicable else NOT_APPLICABLE
+        reason = {} if fr.applicable else {"reason": fr.reason or ""}
     ms = (time.perf_counter() - t0) * 1000.0
     if args.json:
         print(json.dumps({"spec": entry.label, "q": args.q, "method": args.method,
-                          "value": value, "ms": ms}))
+                          "value": value, **reason, "ms": ms}))
+    elif reason:
+        print(f"formula: {NOT_APPLICABLE} ({reason['reason']})")
     else:
         print(value)
     return 0
@@ -132,12 +133,12 @@ def _cmd_hilbert(args) -> int:
     max_d = args.max_degree
     if max_d is not None and max_d < 0:
         raise ParseError("--max-degree must be nonnegative")
-    ps = enumerate_points(g, args.q)
-    target = ps.size
     if max_d is None:
-        values = regularity_rank(g, args.q, points=ps).values
+        profile = regularity_rank(g, args.q)
+        values, target = profile.values, profile.degree
     else:
-        values = islice(_hilbert_levels(ps, Field(args.q)), max_d + 1)
+        ps = enumerate_points(g, args.q)
+        values, target = islice(_hilbert_levels(ps, Field(args.q)), max_d + 1), ps.size
     reg = None
     for d, h in enumerate(values):
         print(f"H({d}) = {h}")

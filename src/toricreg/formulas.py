@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import caps
 from .errors import (
     EdgeExistsError,
     InvalidSpecError,
@@ -32,9 +31,7 @@ from .graph import (
     path_graph,
     simplify,
 )
-from .hilbert import check_cells, regularity_rank
-from .ideal import regularity_sieve
-from .points import degree_formula
+from .hilbert import regularity_rank
 
 
 @dataclass(frozen=True)
@@ -282,25 +279,17 @@ def _row(name, lhs, rhs, relation, detail=""):
     )
 
 
-def _rank_value(g, q, matrix_cap):
-    # size the final evaluation matrix up front (the cheap sieve predicts
-    # the saturation degree) so hopeless computations fail fast
-    size = degree_formula(graph_stats(g), q)
-    check_cells(size, g.s, regularity_sieve(g, q), caps.matrix_cap(matrix_cap))
-    return regularity_rank(g, q, matrix_cap=matrix_cap).regularity
-
-
-def _class_reg(lengths, q, matrix_cap):
+def _class_reg(lengths, q):
     """Rank regularity of one parity class: a parallel composition when
     the class has >= 2 paths, the path itself when it has exactly one."""
     if len(lengths) == 1:
         h = path_graph(lengths[0])
     else:
         h = parallel_composition(lengths)
-    return _rank_value(h, q, matrix_cap)
+    return regularity_rank(h, q).regularity
 
 
-def verify_bounds(g: Multigraph, q: int, reg: int, witnesses, matrix_cap=None):
+def verify_bounds(g: Multigraph, q: int, reg: int, witnesses):
     """Check each witnessed bound, recomputing the compared regularities
     with the rank method.  Returns one BoundRow per witness."""
     rows = []
@@ -310,7 +299,7 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses, matrix_cap=None):
                 reduced = delete_pendant(g, w.vertex)
             except InvalidSpecError as exc:
                 raise InvalidWitnessError(f"pendant witness: {exc}") from exc
-            sub = _rank_value(reduced, q, matrix_cap)
+            sub = regularity_rank(reduced, q).regularity
             rows.append(
                 _row("pendant", reg, sub + (q - 2), "==", f"v={w.vertex}")
             )
@@ -319,7 +308,7 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses, matrix_cap=None):
                 merged = identify_vertices(g, w.u, w.v)
             except (InvalidSpecError, EdgeExistsError) as exc:
                 raise InvalidWitnessError(f"contraction witness: {exc}") from exc
-            sub = _rank_value(merged, q, matrix_cap)
+            sub = regularity_rank(merged, q).regularity
             rows.append(
                 _row("contraction", reg, sub, ">=", f"identify={w.u},{w.v}")
             )
@@ -329,8 +318,8 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses, matrix_cap=None):
                 raise InvalidWitnessError("cover witness: edges not covered")
             if not (left & right):
                 raise InvalidWitnessError("cover witness: empty intersection")
-            r1 = _rank_value(edge_subgraph(g, sorted(left)), q, matrix_cap)
-            r2 = _rank_value(edge_subgraph(g, sorted(right)), q, matrix_cap)
+            r1 = regularity_rank(edge_subgraph(g, sorted(left)), q).regularity
+            r2 = regularity_rank(edge_subgraph(g, sorted(right)), q).regularity
             rows.append(
                 _row("cover", reg, r1 + r2, "<=", f"|L|={len(left)},|R|={len(right)}")
             )
@@ -377,8 +366,8 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses, matrix_cap=None):
                 raise InvalidWitnessError(
                     "parity-split witness needs mixed parities"
                 )
-            r1 = _class_reg(odd, q, matrix_cap)
-            r2 = _class_reg(even, q, matrix_cap)
+            r1 = _class_reg(odd, q)
+            r2 = _class_reg(even, q)
             rows.append(
                 _row(
                     "parity_split",

@@ -11,13 +11,13 @@ NOT_APPLICABLE; agreement is judged on the values that are present.
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations_with_replacement
 
-from . import caps
 from .errors import ParseError, TooLargeError
 from .formulas import (
     BipartiteBoundWitness,
@@ -32,7 +32,7 @@ from .formulas import (
     verify_bounds,
 )
 from .graph import FAMILIES, Multigraph, family, graph_stats
-from .hilbert import check_cells, regularity_rank
+from .hilbert import regularity_rank
 from .ideal import regularity_sieve
 from .points import degree_formula, enumerate_points
 
@@ -41,7 +41,6 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 CSV_HEADER = "spec,q,method,value,degree_formula,degree_enum,agree,ms"
 
-_ROW_CELL_BUDGET = 20_000_000
 _BOUND_POINT_BUDGET = 1024
 
 
@@ -326,11 +325,9 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
 
     rank_value = NOT_RUN
     rank_ms = 0.0
-    if ps is not None and isinstance(sieve_value, int):
+    if ps is not None:
         t0 = time.perf_counter()
         try:
-            # the sieve value is the last degree: refuse hopeless ranks up front
-            check_cells(ps.size, g.s, sieve_value, caps.matrix_cap())
             rank_value = regularity_rank(g, q, points=ps).regularity
         except TooLargeError:
             pass
@@ -369,9 +366,7 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
     ):
         for w in auto_witnesses(g, entry.kind, entry.params):
             try:
-                rows = verify_bounds(
-                    g, q, rank_value, [w], matrix_cap=_ROW_CELL_BUDGET
-                )
+                rows = verify_bounds(g, q, rank_value, [w])
             except TooLargeError:
                 continue
             bound_rows.extend(rows)
@@ -420,15 +415,19 @@ def verify_suite(
     with_bounds: bool = True,
 ) -> SuiteResult:
     """Cross-check every catalog instance at every q.  Jobs fan out to a
-    process pool; results are merged in sorted (spec, q) order either way."""
+    process pool of at most min(jobs, work items, CPUs) workers; results
+    are merged in sorted (spec, q) order either way."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if entries is None:
         entries = default_catalog()
     work = []
     for entry in entries:
         for q in entry.qs or q_list:
             work.append((entry, q, with_bounds))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_job, work))
     else:
         outcomes = [_evaluate_job(args) for args in work]

@@ -50,8 +50,8 @@ import numpy as np
 from . import caps
 from .errors import CeilingExceededError, ConsistencyError, TooLargeError
 from .field import Field, ZERO
-from .graph import Multigraph
-from .points import PointSet, enumerate_points
+from .graph import Multigraph, graph_stats
+from .points import PointSet, degree_formula, enumerate_points
 
 
 def monomials_of_degree(s: int, d: int):
@@ -307,13 +307,13 @@ class HilbertProfile:
         )
 
 
-def check_cells(size: int, s: int, d: int, limit: int) -> None:
-    """The one matrix-cap check: refuse the degree-d evaluation matrix
-    over `size` points and s variables if its cell count before
-    deduplication, size * C(s+d-1, d), exceeds `limit`."""
-    cells = size * comb(s + d - 1, d)
+def _check_echelon(size: int, distinct: int, k: int, limit: int) -> None:
+    """The matrix cap of the rank route: refuse the echelon of `distinct`
+    rows over `size` points, a GF(p) matrix of size*k rows by distinct*k
+    columns, if its cell count exceeds `limit`."""
+    cells = size * k * distinct * k
     if cells > limit:
-        raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
+        raise TooLargeError(f"rank echelon has {cells} cells, cap is {limit}")
 
 
 def _check_distinct(rank: int, rows: int) -> None:
@@ -324,11 +324,14 @@ def _check_distinct(rank: int, rows: int) -> None:
 
 def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
     """Rank of the degree-d evaluation matrix (|X| rows, C(s+d-1, d)
-    columns before deduplication), computed on its own: the
-    single-degree oracle for the profile of `_hilbert_levels`."""
+    columns before deduplication, the cells the matrix cap counts here),
+    computed on its own: the single-degree oracle for the profile of
+    `_hilbert_levels`."""
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
-    check_cells(ps.size, ps.s, d, caps.matrix_cap(cap))
+    cells, limit = ps.size * comb(ps.s + d - 1, d), caps.matrix_cap(cap)
+    if cells > limit:
+        raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
     mons = monomial_matrix(ps.s, d)
     E = evaluation_columns(ps, mons, field)
     E = _unique_rows(E)
@@ -339,7 +342,7 @@ def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
     return rank
 
 
-def _hilbert_levels(ps: PointSet, field: Field, cap=None):
+def _hilbert_levels(ps: PointSet, field: Field):
     """H(0), H(1), ... of the point set from one resumable elimination,
     with rows built from the points alone (see the module docstring).
 
@@ -347,18 +350,21 @@ def _hilbert_levels(ps: PointSet, field: Field, cap=None):
     point column j >= 2, mod q-1, one column at a time.  Those not seen
     at a lower degree are the next frontier; they enter one
     `_PrimeEchelon` as new columns of the transposed regular
-    representation.  Each degree is checked against the matrix cap
-    before it is built; once H reaches |X| it stays there, and nothing
-    more is built or checked.
+    representation.  Before degree d >= 1 is built, the echelon it can
+    fill, at most min(|X|, |seen| + (s-1)|frontier|) distinct rows, is
+    checked against the matrix cap.  H must rise strictly at every
+    degree up to |X| and never pass it; once it reaches |X| it stays
+    there, and nothing more is built or checked.
     """
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
     if np.any(ps.points[:, 0] != 0):
         raise ConsistencyError("point set is not in canonical form: first log is not 0")
-    limit = caps.matrix_cap(cap)
+    limit = caps.matrix_cap()
     size, qm1, k = ps.size, field.q - 1, field.k
-    # distinct rows <= C(s+d-1, d) <= limit // size at every degree that passes the cap
-    echelon = _PrimeEchelon(size * k, field.p, capacity=min(size, limit // size) * k)
+    # every degree that passes the cap leaves at most this many distinct rows
+    distinct = min(size, max(1, limit // (size * k * k)))
+    echelon = _PrimeEchelon(size * k, field.p, capacity=distinct * k)
     blocks = _multiplication_blocks(field)
     # logs are below q-1, so the sum of two never overflows this dtype
     P = ps.points.astype(np.min_scalar_type(2 * (qm1 - 1)))
@@ -367,44 +373,43 @@ def _hilbert_levels(ps: PointSet, field: Field, cap=None):
     h = 0
     for d in count():
         if h < size:
-            check_cells(size, ps.s, d, limit)
+            if d:
+                bound = len(seen) + (ps.s - 1) * len(frontier)
+                _check_echelon(size, min(size, bound), k, limit)
             shifts = ((frontier + P[:, j]) % qm1 for j in range(1, ps.s)) if d else [frontier]
             frontier = np.vstack([_unique_rows(E, seen) for E in shifts])
             echelon.add_columns(_regular_columns(frontier, blocks))
-            h = _rank_over_q(echelon, k)
+            prev, h = h, _rank_over_q(echelon, k)
             _check_distinct(h, len(seen))
+            if not prev < h <= size:
+                raise ConsistencyError(
+                    f"Hilbert function not strictly increasing to {size}: "
+                    f"H({d}) = {h} after {prev}"
+                )
         yield h
 
 
-def regularity_rank(
-    g: Multigraph,
-    q: int,
-    points: PointSet | None = None,
-    matrix_cap=None,
-) -> HilbertProfile:
+def regularity_rank(g: Multigraph, q: int, points: PointSet | None = None) -> HilbertProfile:
     """Regularity as the first degree where the Hilbert function hits the
     number of points, with the full profile up to that degree.
 
-    The loop is capped at (s-1)(q-2) + 1: the point set sits inside the
-    torus, whose regularity attains that value, so running past it is an
-    internal inconsistency, not a long computation.
+    Saturation fills the echelon of all |X| rows, so that echelon is
+    checked against the matrix cap before the points are enumerated; |X|
+    comes from the degree formula when no points are given.  The loop is
+    capped at (s-1)(q-2) + 1: the point set sits inside the torus, whose
+    regularity attains that value, so running past it is an internal
+    inconsistency, not a long computation.
     """
     field = Field(q)
+    size = points.size if points is not None else degree_formula(graph_stats(g), q)
+    _check_echelon(size, size, field.k, caps.matrix_cap())
     ps = points if points is not None else enumerate_points(g, q)
     if ps.s != g.s or ps.q != q:
         raise ValueError("point set does not match the graph and field")
     target = ps.size
     ceiling = (g.s - 1) * (q - 2) + 1
     values = []
-    for d, h in zip(range(ceiling + 1), _hilbert_levels(ps, field, matrix_cap)):
-        if values and h <= values[-1]:
-            raise ConsistencyError(
-                f"Hilbert function not strictly increasing at degree {d}"
-            )
-        if h > target:
-            raise ConsistencyError(
-                f"Hilbert value {h} exceeds the point count {target}"
-            )
+    for d, h in zip(range(ceiling + 1), _hilbert_levels(ps, field)):
         values.append(h)
         if h == target:
             return HilbertProfile(values=tuple(values), degree=target, regularity=d)

@@ -146,7 +146,7 @@ def monomial_in_ideal_plus_edge(
     return reach.contains(d - 1, r)
 
 
-def regularity_sieve(g: Multigraph, q: int, edge: int = 0, cap=None) -> int:
+def regularity_sieve(g: Multigraph, q: int, edge: int = 0) -> int:
     """Regularity via the vanishing degree of the quotient by (I, t_edge).
 
     Returns (min d >= 1 such that every residue in Reach(d) steps back to
@@ -158,7 +158,7 @@ def regularity_sieve(g: Multigraph, q: int, edge: int = 0, cap=None) -> int:
         raise IndexError(f"edge index {edge} out of range")
     if q == 2:
         return 0
-    levels = _reach_levels(g, q, cap)
+    levels = _reach_levels(g, q)
     prev = next(levels)
     u, w = g.edges[edge]
     ceiling = (g.s - 1) * (q - 2) + 2

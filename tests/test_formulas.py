@@ -122,6 +122,34 @@ def test_parity_split_bound():
     assert row.satisfied and row.lhs == 2 and row.rhs == 2
 
 
+def test_bound_rows_need_no_sieve(monkeypatch):
+    # the bound rows rank their derived graphs on their own, so a refused
+    # sieve, wherever it is bound, never costs a row
+    import sys
+
+    from toricreg import ideal
+    from toricreg.errors import TooLargeError
+
+    def refused(*args, **kwargs):
+        raise TooLargeError("sieve refused")
+
+    sieve = ideal.regularity_sieve
+    for name, module in list(sys.modules.items()):
+        if name == "toricreg" or name.startswith("toricreg."):
+            for key, value in list(vars(module).items()):
+                if value is sieve:
+                    monkeypatch.setattr(module, key, refused)
+    g = parallel_composition((1, 2, 2))
+    witnesses = [
+        ContractionWitness(2, 3),
+        CoverWitness((0, 1, 2), (2, 3, 4)),
+        ParitySplitWitness((1, 2, 2)),
+    ]
+    rows = verify_bounds(g, 3, regularity_rank(g, 3).regularity, witnesses)
+    assert [r.name for r in rows] == ["contraction", "cover", "parity_split"]
+    assert all(r.satisfied for r in rows)
+
+
 def test_independent_set_bound_path5():
     g = path_graph(5)
     reg = regularity_rank(g, 3).regularity

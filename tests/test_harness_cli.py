@@ -14,6 +14,7 @@ from toricreg.harness import (
     CSV_HEADER,
     CatalogEntry,
     NOT_APPLICABLE,
+    NOT_RUN,
     RegularityReport,
     default_catalog,
     evaluate_entry,
@@ -201,6 +202,66 @@ def test_verify_suite_process_pool():
     ]
 
 
+def test_verify_jobs_checked_and_bounded(capsys, monkeypatch):
+    import toricreg.harness as harness
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    entries = [
+        CatalogEntry("cycle(4)", parse_graph_spec("cycle(4)").graph, "cycle", (4,)),
+        CatalogEntry("path(3)", parse_graph_spec("path(3)").graph, "path", (3,)),
+    ]
+    # min(jobs, work items, CPUs) workers; one worker runs in this process
+    for jobs, q_list, workers in (
+        (5000, (3,), [2]),
+        (5000, (3, 4, 5), [4]),
+        (3, (3, 4, 5), [3]),
+        (1, (3, 4, 5), []),
+    ):
+        started.clear()
+        assert verify_suite(entries, q_list=q_list, jobs=jobs, with_bounds=False).ok
+        assert started == workers, jobs
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    started.clear()
+    assert verify_suite(entries, q_list=(3,), jobs=8, with_bounds=False).ok
+    assert started == []
+    for jobs in ("0", "-3"):
+        assert main(["verify", "--jobs", jobs, "--skip-bounds"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert captured.out == ""
+    assert started == []
+
+
+def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
+    from toricreg.errors import TooLargeError
+
+    def refused(*args, **kwargs):
+        raise TooLargeError("sieve refused")
+
+    monkeypatch.setattr("toricreg.harness.regularity_sieve", refused)
+    entry = parse_graph_spec("parallel(1,2)")
+    report, rows = evaluate_entry(entry, 3)
+    assert report.sieve == NOT_RUN
+    assert report.rank == report.formula == 2 and report.agree
+    assert rows and all(r.satisfied for r in rows)
+
+
 def test_env_var_overrides_caps(monkeypatch):
     from toricreg import caps
     from toricreg.errors import TooLargeError
@@ -257,7 +318,7 @@ def test_cli_reg_all(capsys):
     assert "agreement: true" in out
 
 
-def test_cli_reg_json_roundtrip(capsys):
+def test_cli_reg_json_roundtrip(capsys, tmp_path):
     assert main(["reg", "cycle(4)", "-q", "3", "--method", "all", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 1 and payload["agree"] is True
@@ -265,6 +326,16 @@ def test_cli_reg_json_roundtrip(capsys):
     for method in ("all", "rank", "sieve", "formula"):
         assert main(["reg", " cycle(4) ", "-q", "3", "--method", method, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["spec"] == "cycle(4)", method
+    # a closed form that does not apply is still one JSON object
+    disjoint = tmp_path / "disjoint.json"
+    disjoint.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
+    spec = f"file:{disjoint}"
+    assert main(["reg", spec, "-q", "3", "--method", "formula", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["spec", "q", "method", "value", "reason", "ms"]
+    assert payload["spec"] == spec and payload["q"] == 3 and payload["method"] == "formula"
+    assert payload["value"] == NOT_APPLICABLE
+    assert payload["reason"] == "disconnected: no closed form asserted"
 
 
 def test_cli_reg_single_methods(capsys, monkeypatch, tmp_path):
@@ -313,15 +384,35 @@ def test_cli_hilbert(capsys, monkeypatch):
     assert main(["hilbert", "cycle(4)", "-q", "3"]) == 0
     out = capsys.readouterr().out
     assert "H(0) = 1" in out and "H(1) = 4" in out and "regularity: 1" in out
-    # past saturation H stays |X| with no matrix built, so the matrix cap
-    # (4 * C(16, 13) = 2240 cells at degree 13) is never consulted
+    # past saturation H stays |X| and nothing more is built or checked
     monkeypatch.setenv("TORICREG_MAX_STATES", "2000")
     assert main(["hilbert", "cycle(4)", "-q", "3", "--max-degree", "15"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-2:] == ["H(15) = 4", "regularity: 1  (degree 4)"]
-    # a degree before saturation is still refused: |X| * C(9, 2) = 64 * 36
+    # a degree before saturation is refused by the echelon it could fill:
+    # |X| times |seen| + (s-1)|frontier| distinct rows, 64 * (8 + 7 * 7)
     assert main(["hilbert", "cycle(8)", "-q", "3", "--max-degree", "15"]) == 2
-    assert capsys.readouterr().err == "error: evaluation matrix has 2304 cells, cap is 2000\n"
+    assert capsys.readouterr().err == "error: rank echelon has 3648 cells, cap is 2000\n"
+    # the whole profile fills (|X| * k)**2 = 64**2 cells: refused before any point is built
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("points enumerated before the cap was checked")
+
+    for module in ("cli", "hilbert"):
+        monkeypatch.setattr(f"toricreg.{module}.enumerate_points", no_enumeration)
+    for argv in (["hilbert"], ["reg", "--method", "rank"]):
+        assert main([*argv, "cycle(8)", "-q", "3"]) == 2
+        assert capsys.readouterr().err == "error: rank echelon has 4096 cells, cap is 2000\n"
+
+
+@pytest.mark.parametrize("max_degree", [[], ["--max-degree", "4"]])
+def test_cli_hilbert_checks_the_profile(capsys, monkeypatch, max_degree):
+    # with no rows kept H stays 0; both the full profile and a prefix of it
+    # stop on the broken invariant
+    monkeypatch.setattr("toricreg.hilbert._unique_rows", lambda E, seen=None: E[:0])
+    assert main(["hilbert", "cycle(6)", "-q", "5", *max_degree]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Hilbert function not strictly increasing")
+    assert "H(" not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,36 @@ def test_matrix_cap():
         hilbert_value(ps, 6, field, cap=100)
 
 
+@pytest.mark.parametrize("g, q", [(cycle_graph(8), 3), (cycle_graph(6), 4)])
+def test_rank_cap_counts_the_saturated_echelon(monkeypatch, g, q):
+    import toricreg.hilbert as hilbert
+
+    size, k = enumerate_points(g, q).size, Field(q).k
+    cells = (size * k) ** 2
+    assert (q - 1) ** g.n < cells  # the state cap never decides
+    monkeypatch.setenv("TORICREG_MAX_STATES", str(cells))
+    assert regularity_rank(g, q).degree == size
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(hilbert, "enumerate_points", forbidden)
+    monkeypatch.setattr(hilbert, "_PrimeEchelon", forbidden)
+    monkeypatch.setenv("TORICREG_MAX_STATES", str(cells - 1))
+    with pytest.raises(TooLargeError, match=f"rank echelon has {cells} cells"):
+        regularity_rank(g, q)
+
+
+def test_profile_invariants_are_checked_in_the_levels(monkeypatch):
+    import toricreg.hilbert as hilbert
+
+    ps = enumerate_points(cycle_graph(6), 5)
+    # no rows ever kept: H(0) = 0 does not rise above H(-1) = 0
+    monkeypatch.setattr(hilbert, "_unique_rows", lambda E, seen=None: E[:0])
+    with pytest.raises(ConsistencyError, match=r"H\(0\) = 0 after 0"):
+        next(_hilbert_levels(ps, Field(5)))
+
+
 def test_regularity_invariant_under_simplify():
     for ks in ((1, 1), (1, 1, 2), (1, 1, 3)):
         g = parallel_composition(ks)
