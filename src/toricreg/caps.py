@@ -1,7 +1,8 @@
 """Work caps guarding the exponential-cost operations.
 
-Point enumeration and residue-reachability walk a state space of size
-(q-1)**n.  The rank route fills one GF(p) echelon of |X|*k rows by
+Point enumeration holds |X|*s cells, |X| from the degree formula, and
+residue reachability walks a state space of size (q-1)**n; the state
+cap counts both.  The rank route fills one GF(p) echelon of |X|*k rows by
 (distinct rows)*k columns, k = log_p q; only ``hilbert`` reads the cap
 on its cells, and it refuses before any elimination.  Both caps refuse
 loudly (TooLargeError) instead of running forever.  The environment
@@ -29,15 +30,12 @@ def _env_cap():
     return value
 
 
-def state_cap(explicit=None):
-    """Cap on (q-1)**n state spaces (enumeration, reach tables)."""
-    if explicit is not None:
-        return explicit
+def state_cap():
+    """Cap on the point array's |X|*s cells and on the (q-1)**n
+    residue tensors."""
     return _env_cap() or DEFAULT_STATE_CAP
 
 
-def matrix_cap(explicit=None):
+def matrix_cap():
     """Cap on rank-echelon cells (rows times columns)."""
-    if explicit is not None:
-        return explicit
     return _env_cap() or DEFAULT_MATRIX_CAP

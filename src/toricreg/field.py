@@ -30,16 +30,16 @@ TABLE_CAP = 1 << 16
 FieldElem = int
 
 
-def prime_power(q, table_cap=TABLE_CAP):
+def prime_power(q):
     """Return (p, k) with q == p**k for a field within the table cap.
 
     Raises OverflowError above the cap and NotPrimePowerError when q is
     not a prime power; the cap is checked first, so the trial division
     stays short.
     """
-    if q > table_cap:
+    if q > TABLE_CAP:
         raise OverflowError(
-            f"field cardinality {q} exceeds the table cap {table_cap}"
+            f"field cardinality {q} exceeds the table cap {TABLE_CAP}"
         )
     if q < 2:
         raise NotPrimePowerError(f"{q} is not a prime power")
@@ -117,8 +117,8 @@ class Field:
         "exp_table", "log_table", "_neg_log", "_exp_arr",
     )
 
-    def __init__(self, q: int, table_cap: int = TABLE_CAP):
-        p, k = prime_power(q, table_cap)
+    def __init__(self, q: int):
+        p, k = prime_power(q)
         self.q = q
         self.p = p
         self.k = k

@@ -322,14 +322,14 @@ def _check_distinct(rank: int, rows: int) -> None:
         raise ConsistencyError(f"rank {rank} differs from the {rows} distinct rows")
 
 
-def hilbert_value(ps: PointSet, d: int, field: Field, cap=None) -> int:
+def hilbert_value(ps: PointSet, d: int, field: Field) -> int:
     """Rank of the degree-d evaluation matrix (|X| rows, C(s+d-1, d)
     columns before deduplication, the cells the matrix cap counts here),
     computed on its own: the single-degree oracle for the profile of
     `_hilbert_levels`."""
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
-    cells, limit = ps.size * comb(ps.s + d - 1, d), caps.matrix_cap(cap)
+    cells, limit = ps.size * comb(ps.s + d - 1, d), caps.matrix_cap()
     if cells > limit:
         raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
     mons = monomial_matrix(ps.s, d)

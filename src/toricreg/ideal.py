@@ -13,16 +13,17 @@ Reach(0) = {0} and Reach(d) = union over edges of Reach(d-1) + chi_j.
 One generator, ``_reach_levels``, runs this dynamic program: it checks
 the state cap once, seeds a numpy bool tensor of shape (q-1, ..., q-1)
 and yields Reach(0), Reach(1), ... in turn, each shifted-copy union
-being a pair of rolls per edge.  ``reachable_residues`` keeps a prefix
-of the levels for membership queries; ``regularity_sieve`` consumes
-them one at a time until the quotient by (I, t_edge) vanishes.  For
-q = 2 residues live mod 1 and every table collapses to the zero vector,
-so both callers answer without the generator.
+being a pair of rolls per edge.  ``reachable_residues`` keeps levels
+for membership queries until the first L with |Reach(L+1)| = |Reach(L)|.
+From there Reach(d) = Reach(L) + (d-L)*chi_1: Reach(L+1) contains the
+same-size Reach(L) + chi_1, so the two are equal, and the union over
+edges carries the equality to every later degree.  ``regularity_sieve``
+consumes the levels one at a time until the quotient by (I, t_edge)
+vanishes.  For q = 2 residues live mod 1 and every table collapses to
+the zero vector, so both callers answer without the generator.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -61,7 +62,9 @@ def binomial_in_ideal(g: Multigraph, q: int, a, b) -> bool:
 
 
 class ReachTable:
-    """Reach(0..d_max) as bool tensors indexed by residue vectors."""
+    """Reach(0..d_max) as bool tensors indexed by residue vectors.  Only
+    the levels up to the first stable one are stored; a later level is
+    the last stored one shifted by a multiple of chi_1."""
 
     __slots__ = ("g", "q", "d_max", "_levels", "_trivial")
 
@@ -72,6 +75,11 @@ class ReachTable:
         self._levels = levels
         self._trivial = trivial
 
+    def _stored(self, d: int):
+        """The stored level that Reach(d) shifts, and how many chi_1."""
+        last = len(self._levels) - 1
+        return self._levels[min(d, last)], max(d - last, 0)
+
     def contains(self, d: int, residue) -> bool:
         """Whether some degree-d monomial has the given residue vector.
         Degree -1 is the empty set by convention."""
@@ -81,15 +89,24 @@ class ReachTable:
             raise ValueError(f"table only reaches degree {self.d_max}")
         if self._trivial:
             return all(x == 0 for x in residue)
-        return bool(self._levels[d][tuple(residue)])
+        level, shift = self._stored(d)
+        r = list(residue)
+        for v in self.g.edges[0]:
+            r[v] = (r[v] - shift) % (self.q - 1)
+        return bool(level[tuple(r)])
 
     def level(self, d: int) -> frozenset:
         """Reach(d) as a set of residue tuples (small instances only)."""
         if d < 0:
             return frozenset()
+        if d > self.d_max:
+            raise ValueError(f"table only reaches degree {self.d_max}")
         if self._trivial:
             return frozenset({(0,) * self.g.n})
-        idx = np.argwhere(self._levels[d])
+        level, shift = self._stored(d)
+        idx = np.argwhere(level)
+        for v in self.g.edges[0]:
+            idx[:, v] = (idx[:, v] + shift) % (self.q - 1)
         return frozenset(tuple(int(x) for x in row) for row in idx)
 
 
@@ -100,12 +117,12 @@ def _reach_step(prev: np.ndarray, g: Multigraph) -> np.ndarray:
     return out
 
 
-def _reach_levels(g: Multigraph, q: int, cap=None):
+def _reach_levels(g: Multigraph, q: int):
     """Reach(0), Reach(1), ... as bool tensors over residue vectors, for
     q > 2.  The state cap and the vertex limit are checked before the
     first level is yielded; each later level costs one `_reach_step`."""
     qm1 = q - 1
-    limit = caps.state_cap(cap)
+    limit = caps.state_cap()
     states = qm1**g.n
     if states > limit:
         raise TooLargeError(f"(q-1)**n = {states} exceeds the state cap {limit}")
@@ -118,12 +135,18 @@ def _reach_levels(g: Multigraph, q: int, cap=None):
         cur = _reach_step(cur, g)
 
 
-def reachable_residues(g: Multigraph, q: int, d_max: int, cap=None) -> ReachTable:
-    """Dynamic program for Reach(0..d_max)."""
+def reachable_residues(g: Multigraph, q: int, d_max: int) -> ReachTable:
+    """Dynamic program for Reach(0..d_max), stepped only until the first
+    level whose successor has the same size."""
     if q == 2:
         return ReachTable(g, q, d_max, None, trivial=True)
-    levels = list(islice(_reach_levels(g, q, cap), d_max + 1))
-    return ReachTable(g, q, d_max, levels, trivial=False)
+    levels = _reach_levels(g, q)
+    stored = [next(levels)]
+    for _, nxt in zip(range(d_max), levels):
+        if np.count_nonzero(nxt) == np.count_nonzero(stored[-1]):
+            break
+        stored.append(nxt)
+    return ReachTable(g, q, d_max, stored, trivial=False)
 
 
 def monomial_in_ideal_plus_edge(

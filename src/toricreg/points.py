@@ -3,8 +3,9 @@
 Every vertex gets a nonzero field value g**e_v; edge i = {u, w} gets the
 coordinate g**(e_u + e_w).  All coordinates are nonzero, so the point
 lies in the projective torus and we can fix the canonical representative
-whose first coordinate is g**0.  Points are stored as exponent vectors:
-field arithmetic only enters when a monomial is evaluated.
+whose first coordinate is g**0.  Points are stored as exponent vectors,
+in the smallest unsigned dtype that holds q-2: field arithmetic only
+enters when a monomial is evaluated.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from . import caps
 from .errors import ConsistencyError, TooLargeError
 from .field import Field, FieldElem
 from .graph import Multigraph, GraphStats, graph_stats
-
-_CHUNK = 1 << 18
 
 
 class PointSet:
@@ -62,35 +61,35 @@ def degree_formula(stats: GraphStats, q: int) -> int:
     return power // div
 
 
-def enumerate_points(g: Multigraph, q: int, cap=None) -> PointSet:
+def enumerate_points(g: Multigraph, q: int) -> PointSet:
     """All points of the set parameterized by g, as canonical exponent
-    vectors.  Work is (q-1)**n and guarded by the state cap."""
-    limit = caps.state_cap(cap)
+    vectors in lexicographic order.  In that form X is the subgroup of
+    (Z/(q-1))**s generated by the vertex incidence rows, each shifted so
+    its first entry is 0; it is grown one generator's cosets at a time.
+    Every intermediate is a subgroup of X, so the state cap counts the
+    |X|*s cells of the result, |X| from the degree formula."""
     qm1 = q - 1
-    total = qm1**g.n
-    if total > limit:
-        raise TooLargeError(
-            f"(q-1)**n = {total} exceeds the state cap {limit}"
-        )
-    us = np.array([e[0] for e in g.edges])
-    ws = np.array([e[1] for e in g.edges])
-    dtype = np.int16 if qm1 < 127 else np.int64
-    radix = qm1 ** np.arange(g.n, dtype=np.int64)
-    chunks = []
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        verts = ((idx[:, None] // radix[None, :]) % qm1).astype(dtype)
-        E = (verts[:, us] + verts[:, ws]) % qm1
-        E = (E - E[:, :1]) % qm1
-        chunks.append(np.unique(E, axis=0))
-    pts = np.unique(np.concatenate(chunks, axis=0), axis=0)
-    ps = PointSet(q, g.s, pts)
     expected = degree_formula(graph_stats(g), q)
-    if ps.size != expected:
-        raise ConsistencyError(
-            f"enumerated {ps.size} points but the degree formula gives {expected}"
-        )
-    return ps
+    limit = caps.state_cap()
+    if expected * g.s > limit:
+        raise TooLargeError(f"|X|*s = {expected * g.s} cells exceed the state cap {limit}")
+    dtype = np.min_scalar_type(qm1 - 1)
+    wide = np.min_scalar_type(2 * (qm1 - 1))  # holds a sum of two logs
+    divisors = [t for t in range(1, qm1 + 1) if qm1 % t == 0]
+    incidence = np.zeros((g.n, g.s), np.int64)
+    np.add.at(incidence, (np.array(g.edges).T, np.arange(g.s)), 1)
+    pts = np.zeros((1, g.s), dtype)
+    for row in incidence:
+        gen = (row - row[0]) % qm1
+        # {t : t*gen in pts} is a subgroup of Z/(q-1), so its least member divides q-1
+        t = next(t for t in divisors if (pts == t * gen % qm1).all(axis=1).any())
+        steps = (np.arange(t, dtype=np.int64)[:, None] * gen % qm1).astype(wide)
+        pts = ((steps[:, None, :] + pts) % qm1).astype(dtype).reshape(-1, g.s)
+    out = np.unique(pts, axis=0)
+    if not out.shape[0] == pts.shape[0] == expected:
+        raise ConsistencyError(f"{pts.shape[0]} coset rows hold {out.shape[0]} distinct "
+                               f"points but the degree formula gives {expected}")
+    return PointSet(q, g.s, out)
 
 
 def evaluate_monomial(point, a, field: Field) -> FieldElem:

@@ -45,7 +45,7 @@ def test_table_cap():
     with pytest.raises(OverflowError):
         Field(1 << 17)
     with pytest.raises(OverflowError):
-        Field(257, table_cap=256)
+        Field(65537)  # the first prime above the cap
 
 
 def test_inverse_of_zero():

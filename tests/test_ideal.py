@@ -1,8 +1,11 @@
 import random
-from itertools import combinations, product
+import time
+from itertools import combinations, islice, product
 
+import numpy as np
 import pytest
 
+from toricreg.cli import main
 from toricreg.errors import (
     CeilingExceededError,
     NotHomogeneousError,
@@ -19,6 +22,7 @@ from toricreg.graph import (
 )
 from toricreg.hilbert import monomials_of_degree
 from toricreg.ideal import (
+    _reach_levels,
     binomial_in_ideal,
     ear_swap,
     monomial_in_ideal_plus_edge,
@@ -29,6 +33,8 @@ from toricreg.ideal import (
     same_parity_ear_pair,
 )
 from toricreg.points import enumerate_points, evaluate_monomial
+
+from test_graph import _random_multigraph
 
 
 def test_residue_examples():
@@ -127,6 +133,39 @@ def test_reach_dp_matches_brute_force(q):
             assert reach.level(d) == brute_reach(g, q, d)
 
 
+def test_reach_table_shifts_past_the_first_stable_level():
+    rng = random.Random(20261019)
+    pairs = [(g, q) for q in (3, 4, 5) for g in (path_graph(1), path_graph(2), cycle_graph(5))]
+    pairs += [(_random_multigraph(rng), rng.choice((3, 4, 5))) for _ in range(40)]
+    for g, q in pairs:
+        if (q - 1) ** g.n > 1024:
+            continue
+        stepped = []
+        for cur in _reach_levels(g, q):
+            if stepped and cur.sum() == stepped[-1].sum():
+                break
+            stepped.append(cur)
+        last = len(stepped) - 1  # the first stable level L
+        stepped += list(islice(_reach_levels(g, q), len(stepped), 3 * last + 3))
+        reach = reachable_residues(g, q, len(stepped) - 1)
+        assert len(reach._levels) == last + 1
+        for d, level in enumerate(stepped):
+            assert reach.level(d) == {tuple(int(x) for x in r) for r in np.argwhere(level)}
+            for r in product(range(q - 1), repeat=g.n):
+                assert reach.contains(d, r) == level[r], (g.edges, q, d, r)
+        with pytest.raises(ValueError):
+            reach.contains(len(stepped), (0,) * g.n)
+
+
+def test_cli_member_far_past_the_stable_level(capsys):
+    t0 = time.perf_counter()
+    assert main(
+        ["member", "path(2)", "-q", "3", "--monomial", "1000000,0", "--mod-edge", "2"]
+    ) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert capsys.readouterr().out.strip() == "IN (I(X), t_2)"
+
+
 def brute_sieve(g, q, edge):
     """The sieve's vanishing degree minus 1, from brute-force Reach sets."""
     u, w = g.edges[edge]
@@ -175,9 +214,10 @@ def test_q2_has_no_vertex_limit():
         regularity_sieve(g, 3)
 
 
-def test_reach_cap():
+def test_reach_cap(monkeypatch):
+    monkeypatch.setenv("TORICREG_MAX_STATES", "100")
     with pytest.raises(TooLargeError):
-        reachable_residues(cycle_graph(12), 5, 2, cap=100)
+        reachable_residues(cycle_graph(12), 5, 2)
 
 
 def test_monomial_in_extended_ideal_examples():

@@ -1,8 +1,10 @@
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
+from toricreg.cli import main
 from toricreg.errors import TooLargeError
 from toricreg.field import Field
 from toricreg.graph import (
@@ -12,7 +14,10 @@ from toricreg.graph import (
     parallel_composition,
     path_graph,
 )
+from toricreg.harness import default_catalog
 from toricreg.points import degree_formula, enumerate_points, evaluate_monomial
+
+from test_graph import _random_multigraph
 
 
 def test_single_edge_is_one_point():
@@ -101,10 +106,63 @@ def test_points_are_canonical_and_unique():
         assert len(pts) == len(set(pts))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     g = cycle_graph(12)
+    monkeypatch.setenv("TORICREG_MAX_STATES", "1000")
     with pytest.raises(TooLargeError):
-        enumerate_points(g, 5, cap=1000)
+        enumerate_points(g, 5)
+
+
+def _vertex_walk(g, q):
+    """Reference enumeration: map every vertex state to its canonical
+    exponent vector and deduplicate.  Vertex 0 stays at exponent 0:
+    adding c to every e_v adds 2c to every coordinate, which the
+    canonical form takes out again."""
+    qm1 = q - 1
+    verts = np.indices((1,) + (qm1,) * (g.n - 1)).reshape(g.n, -1).T
+    us, ws = np.array(g.edges).T
+    E = (verts[:, us] + verts[:, ws]) % qm1
+    return np.unique((E - E[:, :1]) % qm1, axis=0)
+
+
+# disconnected, with bipartite and non-bipartite components in either order
+MIXED_GRAPHS = [
+    Multigraph(5, [(0, 1), (2, 3), (3, 4), (4, 2)]),
+    Multigraph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+    Multigraph(8, [(6, 7), (0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)]),
+]
+
+
+def test_enumeration_matches_the_vertex_walk():
+    rng = random.Random(20261018)
+    graphs = [e.graph for e in default_catalog()] + MIXED_GRAPHS
+    graphs += [_random_multigraph(rng) for _ in range(60)]
+    qs = (2, 3, 4, 5, 7, 8, 9)
+    pairs = [(g, q) for q in qs for g in graphs if (q - 1) ** g.n <= 40_000]
+    pairs.append((path_graph(2), 131))
+    mixed = 0
+    for g, q in pairs:
+        ps = enumerate_points(g, q)
+        assert ps.points.dtype == np.min_scalar_type(q - 2)
+        assert np.array_equal(ps.points, _vertex_walk(g, q)), (g.edges, q)
+        stats = graph_stats(g)
+        mixed += 0 < stats.gamma < stats.m
+    assert len(pairs) > 400 and mixed > 20
+
+
+def test_state_cap_counts_the_point_cells(monkeypatch):
+    g = cycle_graph(8)
+    assert degree_formula(graph_stats(g), 5) * g.s == 32768 < 4**g.n
+    monkeypatch.setenv("TORICREG_MAX_STATES", "32768")
+    assert enumerate_points(g, 5).size == 4096
+    monkeypatch.setenv("TORICREG_MAX_STATES", "32767")
+    with pytest.raises(TooLargeError):
+        enumerate_points(g, 5)
+
+
+def test_cli_degree_enumerates_the_largest_field(capsys):
+    assert main(["degree", "path(2)", "-q", "65536", "--enumerate"]) == 0
+    assert capsys.readouterr().out.strip() == "formula 65535, enumerated 65535"
 
 
 def test_evaluate_monomial_examples():
