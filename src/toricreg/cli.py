@@ -77,6 +77,8 @@ def _cmd_show(args) -> int:
 def _cmd_reg(args) -> int:
     entry = parse_graph_spec(args.spec)
     g = entry.graph
+    if args.edge is not None and args.method != "sieve":
+        raise ParseError("--edge applies only to --method sieve")
     if args.edge is not None and not (1 <= args.edge <= g.s):
         raise ParseError(f"edge index must be in 1..{g.s}")
     if args.method == "all":

@@ -75,9 +75,14 @@ def parse_graph_spec(text: str) -> CatalogEntry:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON in {path}: {exc}") from exc
         try:
-            g = Multigraph(int(payload["n"]), [tuple(e) for e in payload["edges"]])
+            n, edges = payload["n"], [tuple(e) for e in payload["edges"]]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad graph file {path}: {exc}") from exc
+        if not (type(n) is int and all(len(e) == 2 and all(type(x) is int for x in e)
+                                       for e in edges)):
+            raise ParseError(f"bad graph file {path}: n and both endpoints of every edge "
+                             "must be integers")
+        g = Multigraph(n, edges)
         return CatalogEntry(text, g, "graph")
     m = re.fullmatch(r"([a-z_]+)\((.*)\)", text)
     if not m:

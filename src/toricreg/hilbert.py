@@ -14,10 +14,12 @@ Two elimination routines compute ranks:
   representation.  The simple spec of the method; quadratic-times-cols
   in pure Python, so only usable for small matrices.  The tests
   cross-check the production path against it.
-* ``_PrimeEchelon`` -- blocked elimination mod a prime p with float
-  matmul updates and delayed reduction, resumable: columns may arrive
-  in batches, and each batch is brought up to date with the pivots
-  already found from the stored row permutation and multipliers.
+* ``_PrimeEchelon`` -- recursive elimination mod a prime p: each span
+  of columns is halved, and the pivots of the left half reach the right
+  half through one float matmul update with delayed reduction.  It is
+  resumable: columns may arrive in batches, and each batch is brought
+  up to date with the pivots already found by the same update, from the
+  stored row permutation and multipliers.
 
 ``gf_rank`` serves every q = p**k with that kernel through the regular
 representation: each entry becomes the k x k matrix over GF(p) of
@@ -137,26 +139,28 @@ def rank_reference(rows, field: Field) -> int:
 
 
 class _PrimeEchelon:
-    """Resumable blocked elimination over GF(p) of a matrix with a fixed
-    number of rows whose columns arrive in batches; ``rank`` is the rank
-    of every column fed so far.
+    """Resumable elimination over GF(p) of a matrix with a fixed number
+    of rows whose columns arrive in batches; ``rank`` is the rank of
+    every column fed so far.
 
-    Right-looking elimination with row pivoting and deferred trailing
-    updates done by BLAS matmuls.  Within a panel of at most ``block``
-    columns only the pivot row and the multiplier column are reduced
-    mod p; at each panel boundary the pivot rows' trailing parts are
-    fixed by forward substitution and the remaining rows by one matrix
-    product.  Every product added to an entry is at most (p-1)**2, so
-    entries are reduced mod p only when the next update could carry
-    them past the float mantissa (delayed modular reduction, as in
-    FFLAS-FFPACK).  The dtype is float32 when a whole panel fits in its
-    24 bits, float64 otherwise.
+    Recursive LU with row pivoting, as in Dumas-Pernet-Sultan (ISSAC
+    2013): a span of columns is split in two, the left half is
+    eliminated, its pivots are applied to the right half, and the right
+    half is eliminated.  A single column only finds its pivot, the first
+    nonzero at or below the rank, and stores the multipliers that clear
+    the rest of it.  All arithmetic on the work matrix happens in
+    ``_update``: forward substitution among a run of at most ``block``
+    pivots, then one matrix product for the rows below them.  Every
+    product added to an entry is at most (p-1)**2, so entries are
+    reduced mod p only when the next update could carry them past the
+    float mantissa (delayed modular reduction, as in FFLAS-FFPACK).  The
+    dtype is float32 when ``block`` products fit in its 24 bits, float64
+    otherwise.
 
     Resuming needs only the row permutation and the multiplier column
     of each pivot (row t of ``_lt`` holds the multipliers of pivot t).
-    A new batch is permuted, then brought up to date by the same
-    forward substitution and Schur update, pivots taken ``block`` at a
-    time, before its own panels are eliminated.  ``capacity`` bounds the
+    A new batch is permuted and brought up to date by ``_update`` over
+    the pivots already found, then eliminated.  ``capacity`` bounds the
     rank and sizes the multiplier buffer, allocated once; its pages
     become resident only as pivots are stored.
     """
@@ -187,51 +191,45 @@ class _PrimeEchelon:
         W[b:] -= L[a:b, b:].T @ W[a:b]
         return acc + b - a
 
+    def _apply(self, W, a, b, acc):
+        """`_update` over pivots a..b-1, at most ``block`` at a time."""
+        for c in range(a, b, self.block):
+            acc = self._update(W, c, min(c + self.block, b), acc)
+        return acc
+
+    def _eliminate(self, W, j0, j1, acc):
+        """Find the pivots of columns j0..j1-1 of W, already reduced by
+        every earlier pivot with at most `acc` products pending."""
+        r = self.rank
+        if r == self._perm.size:
+            return
+        if j1 - j0 > 1:
+            mid = (j0 + j1) // 2
+            self._eliminate(W, j0, mid, acc)
+            self._eliminate(W, mid, j1, self._apply(W[:, mid:j1], r, self.rank, acc))
+            return
+        p, L = self.p, self._lt
+        col = W[r:, j0] % p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            return
+        i = int(nz[0])
+        if i:
+            W[[r, r + i], j0:] = W[[r + i, r], j0:]
+            L[:r, [r, r + i]] = L[:r, [r + i, r]]
+            self._perm[[r, r + i]] = self._perm[[r + i, r]]
+            col[[0, i]] = col[[i, 0]]
+        L[r, r + 1 :] = col[1:] * pow(int(col[0]), -1, p) % p
+        self.rank = r + 1
+
     def add_columns(self, cols: np.ndarray) -> int:
         """Feed the columns of an integer (rows, c) matrix; returns the
         rank of all columns fed so far."""
-        m = self._perm.size
-        n = cols.shape[1]
-        r = self.rank
-        if r == m or n == 0:
-            return r
-        p, block, L = self.p, self.block, self._lt
-        W = (cols[self._perm] % p).astype(self.dtype)
-        acc = 0
-        for a in range(0, r, block):
-            acc = self._update(W, a, min(a + block, r), acc)
-        c0 = 0
-        while r < m and c0 < n:
-            b = min(block, n - c0)
-            # the panel adds up to b products to its own columns
-            if acc + b > self._room:
-                W[r:, c0:] %= p
-                acc = 0
-            pr = r
-            for j in range(c0, c0 + b):
-                col = W[pr:, j] % p
-                nz = np.nonzero(col)[0]
-                if nz.size == 0:
-                    continue
-                i = pr + int(nz[0])
-                if i != pr:
-                    W[[pr, i], j:] = W[[i, pr], j:]
-                    L[:pr, [pr, i]] = L[:pr, [i, pr]]
-                    self._perm[[pr, i]] = self._perm[[i, pr]]
-                W[pr, j : c0 + b] %= p
-                inv = pow(int(W[pr, j]), -1, p)
-                lcol = (W[pr + 1 :, j] % p) * inv % p
-                W[pr + 1 :, j + 1 : c0 + b] -= np.outer(lcol, W[pr, j + 1 : c0 + b])
-                L[pr, pr + 1 :] = lcol
-                pr += 1
-                if pr == m:
-                    break
-            if r < pr < m and c0 + b < n:
-                acc = self._update(W[:, c0 + b :], r, pr, acc)
-            r = pr
-            c0 += b
-        self.rank = r
-        return r
+        if self.rank == self._perm.size or cols.shape[1] == 0:
+            return self.rank
+        W = (cols[self._perm] % self.p).astype(self.dtype)
+        self._eliminate(W, 0, W.shape[1], self._apply(W, 0, self.rank, 0))
+        return self.rank
 
 
 def _multiplication_blocks(field: Field) -> np.ndarray:

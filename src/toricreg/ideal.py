@@ -81,19 +81,21 @@ class ReachTable:
         return self._levels[min(d, last)], max(d - last, 0)
 
     def contains(self, d: int, residue) -> bool:
-        """Whether some degree-d monomial has the given residue vector.
-        Degree -1 is the empty set by convention."""
+        """Whether some degree-d monomial has the given residue vector,
+        read mod q-1.  Degree -1 is the empty set by convention."""
+        if len(residue) != self.g.n:
+            raise ValueError(f"residue has length {len(residue)}, expected {self.g.n}")
         if d < 0:
             return False
         if d > self.d_max:
             raise ValueError(f"table only reaches degree {self.d_max}")
         if self._trivial:
-            return all(x == 0 for x in residue)
+            return True  # every residue is 0 mod 1
         level, shift = self._stored(d)
         r = list(residue)
         for v in self.g.edges[0]:
-            r[v] = (r[v] - shift) % (self.q - 1)
-        return bool(level[tuple(r)])
+            r[v] -= shift
+        return bool(level[tuple(x % (self.q - 1) for x in r)])
 
     def level(self, d: int) -> frozenset:
         """Reach(d) as a set of residue tuples (small instances only)."""

@@ -61,6 +61,13 @@ def degree_formula(stats: GraphStats, q: int) -> int:
     return power // div
 
 
+def _order_mod(pts: np.ndarray, gen: np.ndarray, qm1: int) -> int:
+    """The order of gen modulo the subgroup pts: the least t >= 1 with
+    t*gen in pts.  Those t form a subgroup of Z/(q-1), so t divides q-1."""
+    return next(t for t in range(1, qm1 + 1)
+                if qm1 % t == 0 and (pts == t * gen % qm1).all(axis=1).any())
+
+
 def enumerate_points(g: Multigraph, q: int) -> PointSet:
     """All points of the set parameterized by g, as canonical exponent
     vectors in lexicographic order.  In that form X is the subgroup of
@@ -75,21 +82,20 @@ def enumerate_points(g: Multigraph, q: int) -> PointSet:
         raise TooLargeError(f"|X|*s = {expected * g.s} cells exceed the state cap {limit}")
     dtype = np.min_scalar_type(qm1 - 1)
     wide = np.min_scalar_type(2 * (qm1 - 1))  # holds a sum of two logs
-    divisors = [t for t in range(1, qm1 + 1) if qm1 % t == 0]
     incidence = np.zeros((g.n, g.s), np.int64)
     np.add.at(incidence, (np.array(g.edges).T, np.arange(g.s)), 1)
     pts = np.zeros((1, g.s), dtype)
     for row in incidence:
         gen = (row - row[0]) % qm1
-        # {t : t*gen in pts} is a subgroup of Z/(q-1), so its least member divides q-1
-        t = next(t for t in divisors if (pts == t * gen % qm1).all(axis=1).any())
+        t = _order_mod(pts, gen, qm1)
         steps = (np.arange(t, dtype=np.int64)[:, None] * gen % qm1).astype(wide)
         pts = ((steps[:, None, :] + pts) % qm1).astype(dtype).reshape(-1, g.s)
-    out = np.unique(pts, axis=0)
-    if not out.shape[0] == pts.shape[0] == expected:
-        raise ConsistencyError(f"{pts.shape[0]} coset rows hold {out.shape[0]} distinct "
+    pts = pts[np.lexsort(pts.T[::-1])]
+    distinct = 1 + np.count_nonzero((pts[1:] != pts[:-1]).any(axis=1))
+    if not distinct == pts.shape[0] == expected:
+        raise ConsistencyError(f"{pts.shape[0]} coset rows hold {distinct} distinct "
                                f"points but the degree formula gives {expected}")
-    return PointSet(q, g.s, out)
+    return PointSet(q, g.s, pts)
 
 
 def evaluate_monomial(point, a, field: Field) -> FieldElem:

@@ -456,6 +456,10 @@ def test_cli_invalid_inputs(capsys, tmp_path):
     bool_expect.write_text(json.dumps([{"spec": "cycle(4)", "expect_reg": True}]))
     empty_q = tmp_path / "empty_q.json"
     empty_q.write_text(json.dumps([{"spec": "cycle(4)", "q": []}]))
+    float_n = tmp_path / "float_n.json"
+    float_n.write_text(json.dumps({"n": 2.7, "edges": [[0, 1]]}))
+    bool_vertex = tmp_path / "bool_vertex.json"
+    bool_vertex.write_text(json.dumps({"n": 2, "edges": [[0, True]]}))
     cases = [
         ["reg", "parallel(3)", "-q", "3"],
         # wrong number of family parameters
@@ -469,6 +473,12 @@ def test_cli_invalid_inputs(capsys, tmp_path):
         # --edge outside 1..s (cycle(4) has s = 4)
         ["reg", "cycle(4)", "-q", "3", "--method", "sieve", "--edge", "0"],
         ["reg", "cycle(4)", "-q", "3", "--method", "sieve", "--edge", "5"],
+        # --edge only steers the sieve: rank ignored it, all sieved edge 1
+        ["reg", "cycle(6)", "-q", "4", "--edge", "3", "--method", "rank"],
+        ["reg", "cycle(6)", "-q", "4", "--edge", "3", "--method", "all"],
+        # graph files were read through int(): n 2.7 as 2, vertex true as 1
+        ["reg", f"file:{float_n}", "-q", "3"],
+        ["reg", f"file:{bool_vertex}", "-q", "3"],
         # q = 6 is not a prime power, wherever it is given
         ["degree", "cycle(3)", "-q", "6"],
         ["member", "path(2)", "-q", "6", "--monomial", "1,1", "--mod-edge", "1"],

@@ -206,9 +206,10 @@ def test_echelon_batches_match_one_shot(p, block):
 def test_echelon_reduces_before_a_panel_overflows():
     """At p = 2897 with block 2 an entry reduced below p has room for
     two products of (p-1)**2 in float32.  The second batch takes two
-    such products from the replay of the first batch's pivots, and its
-    panel would add a third to the entry that decides the last pivot:
-    unreduced, that entry is odd and above 2**24, so it would round."""
+    such products from the replay of the first batch's pivots, and
+    applying its own first pivot to its second column would add a third
+    to the entry that decides the last pivot: unreduced, that entry is
+    odd and above 2**24, so it would round."""
     p = 2897
     mat = np.array(
         [

@@ -157,6 +157,27 @@ def test_reach_table_shifts_past_the_first_stable_level():
             reach.contains(len(stepped), (0,) * g.n)
 
 
+def test_reach_table_reads_residues_mod_q_minus_1():
+    # path(2) at q=4: Reach(1) = {(1,1,0), (0,1,1)}; (0,1,4) used to raise
+    # IndexError and only the first edge's endpoints were reduced
+    reach = reachable_residues(path_graph(2), 4, 3)
+    assert reach.contains(1, (0, 1, 4))
+    assert reach.contains(1, (3, -2, 1))
+    assert not reach.contains(1, (0, 4, 3))
+    for d in range(4):
+        for r in product(range(-3, 7), repeat=3):
+            assert reach.contains(d, r) == reach.contains(d, tuple(x % 3 for x in r))
+    # at q = 2 every residue is 0 mod 1
+    assert reachable_residues(path_graph(2), 2, 1).contains(1, (1, 0, 5))
+    for q in (2, 4):
+        table = reachable_residues(path_graph(2), q, 1)
+        for bad in [(0, 1), (0, 1, 1, 0)]:
+            with pytest.raises(ValueError, match="length"):
+                table.contains(1, bad)
+            with pytest.raises(ValueError, match="length"):
+                table.contains(-1, bad)
+
+
 def test_cli_member_far_past_the_stable_level(capsys):
     t0 = time.perf_counter()
     assert main(

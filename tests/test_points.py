@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from toricreg.cli import main
-from toricreg.errors import TooLargeError
+from toricreg import points
+from toricreg.errors import ConsistencyError, TooLargeError
 from toricreg.field import Field
 from toricreg.graph import (
     Multigraph,
@@ -158,6 +159,18 @@ def test_state_cap_counts_the_point_cells(monkeypatch):
     monkeypatch.setenv("TORICREG_MAX_STATES", "32767")
     with pytest.raises(TooLargeError):
         enumerate_points(g, 5)
+
+
+def test_enumeration_refuses_a_duplicate_coset_row(monkeypatch):
+    # overshooting a generator's order repeats cosets of path(2) at q=3:
+    # 2**3 rows for its 2 points
+    monkeypatch.setattr(points, "_order_mod", lambda pts, gen, qm1: qm1)
+    with pytest.raises(ConsistencyError, match="8 coset rows hold 2 distinct"):
+        enumerate_points(path_graph(2), 3)
+    # refused for the duplicates alone, when the row count matches the formula
+    monkeypatch.setattr(points, "degree_formula", lambda stats, q: 8)
+    with pytest.raises(ConsistencyError, match="8 coset rows hold 2 distinct"):
+        enumerate_points(path_graph(2), 3)
 
 
 def test_cli_degree_enumerates_the_largest_field(capsys):
