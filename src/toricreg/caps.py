@@ -1,12 +1,13 @@
 """Work caps guarding the exponential-cost operations.
 
 Point enumeration holds |X|*s cells, |X| from the degree formula, and
-residue reachability walks a state space of size (q-1)**n; the state
-cap counts both.  The rank route fills one GF(p) echelon of |X|*k rows by
-(distinct rows)*k columns, k = log_p q; only ``hilbert`` reads the cap
-on its cells, and it refuses before any elimination.  Both caps refuse
-loudly (TooLargeError) instead of running forever.  The environment
-variable TORICREG_MAX_STATES overrides both caps.
+residue reachability walks (q-1)**(n-m+gamma-1) reduced residues, one
+axis per kept vertex; the state cap counts both.  The rank route fills
+one GF(p) echelon of |X|*k rows by (distinct rows)*k columns,
+k = log_p q; only ``hilbert`` reads the cap on its cells, and it
+refuses before any elimination.  Both caps refuse loudly
+(TooLargeError) instead of running forever.  The environment variable
+TORICREG_MAX_STATES overrides both caps.
 """
 
 import os
@@ -31,8 +32,8 @@ def _env_cap():
 
 
 def state_cap():
-    """Cap on the point array's |X|*s cells and on the (q-1)**n
-    residue tensors."""
+    """Cap on the point array's |X|*s cells and on the
+    (q-1)**(n-m+gamma-1) reduced residue tensors."""
     return _env_cap() or DEFAULT_STATE_CAP
 
 

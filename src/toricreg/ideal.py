@@ -10,17 +10,24 @@ endpoints of edge j.
 
 Reach(d), the set of residues of all degree-d monomials, satisfies
 Reach(0) = {0} and Reach(d) = union over edges of Reach(d-1) + chi_j.
-One generator, ``_reach_levels``, runs this dynamic program: it checks
-the state cap once, seeds a numpy bool tensor of shape (q-1, ..., q-1)
-and yields Reach(0), Reach(1), ... in turn, each shifted-copy union
-being a pair of rolls per edge.  ``reachable_residues`` keeps levels
-for membership queries until the first L with |Reach(L+1)| = |Reach(L)|.
-From there Reach(d) = Reach(L) + (d-L)*chi_1: Reach(L+1) contains the
-same-size Reach(L) + chi_1, so the two are equal, and the union over
-edges carries the equality to every later degree.  ``regularity_sieve``
-consumes the levels one at a time until the quotient by (I, t_edge)
-vanishes.  For q = 2 residues live mod 1 and every table collapses to
-the zero vector, so both callers answer without the generator.
+The dynamic program runs in the coordinates of X rather than of the
+vertex torus.  A degree-d residue r is normalised to rho = r - d*chi_1,
+so Reach'(d) = Reach(d) - d*chi_1 is the union of Reach'(d-1) shifted
+by delta_j = chi_j - chi_1; delta_1 = 0, so the levels only grow.  Every
+rho obeys one linear relation per bipartite component and one for the
+total degree, and ``_reduced_coordinates`` drops one vertex per
+relation: the k = n-m+gamma-1 kept vertices determine the rest, and
+their (q-1)**k residues hold the character group of X.  One generator,
+``_reach_levels``, runs the program: it checks the state cap on those
+(q-1)**k cells once, seeds a bool tensor over the kept axes and yields
+Reach'(0), Reach'(1), ... in turn, each level one roll per distinct
+shift.  ``reachable_residues`` keeps levels for membership queries
+until the first L with |Reach'(L+1)| = |Reach'(L)|; the two are then
+equal, and so is every later level.  ``regularity_sieve`` consumes the
+levels one at a time until the quotient by (I, t_edge) vanishes.  Both
+check that the stable level holds |X| residues, as the degree formula
+says it must.  For q = 2 residues live mod 1 and every table collapses
+to the zero vector, so both callers answer without the generator.
 """
 
 from __future__ import annotations
@@ -30,11 +37,13 @@ import numpy as np
 from . import caps
 from .errors import (
     CeilingExceededError,
+    ConsistencyError,
     NotHomogeneousError,
     NotSameParityEarError,
     TooLargeError,
 )
-from .graph import Multigraph, ParallelSpec, ear_walks
+from .graph import Multigraph, ParallelSpec, _traverse, ear_walks, graph_stats
+from .points import degree_formula
 
 
 def residue_of(g: Multigraph, q: int, a) -> tuple:
@@ -61,24 +70,89 @@ def binomial_in_ideal(g: Multigraph, q: int, a, b) -> bool:
     return residue_of(g, q, a) == residue_of(g, q, b)
 
 
+def _reduced_coordinates(g: Multigraph):
+    """The kept vertices of a normalised residue, and the lift back to
+    every vertex, from one traversal.
+
+    Each relation below holds for every delta_j, so for every rho, and
+    has coefficient +-1 at the vertex it drops:
+    - a bipartite component's two colour classes sum alike; drop the
+      first vertex of the class opposite to the component's first vertex;
+    - the total degree: every rho sums to 0, so drop the first vertex of
+      the first non-bipartite component.  With none, the colour-0
+      classes together sum to 0, so drop the first vertex of the first
+      component.
+    Returns (kept, lift) with rho = rho[kept] @ lift mod q-1.
+    """
+    comps, color, odd = _traverse(g)
+    sign = 1 - 2 * np.array(color)
+    relations = []
+    for comp, is_odd in zip(comps, odd):
+        if not is_odd:
+            w = np.zeros(g.n, np.int64)
+            w[comp] = sign[comp]
+            relations.append((next(v for v in comp if color[v]), w))
+    if any(odd):
+        total = (next(c[0] for c, o in zip(comps, odd) if o), np.ones(g.n, np.int64))
+        relations.append(total)  # reads the bipartite drops, so solved last
+    else:
+        relations.insert(0, (comps[0][0], (sign > 0).astype(np.int64)))
+    dropped = {v for v, _ in relations}
+    kept = [v for v in range(g.n) if v not in dropped]
+    stats = graph_stats(g)
+    if len(kept) != stats.n - stats.m + stats.gamma - 1:
+        raise ConsistencyError(f"{len(kept)} kept vertices, but n-m+gamma-1 = "
+                               f"{stats.n - stats.m + stats.gamma - 1}")
+    lift = np.zeros((len(kept), g.n), np.int64)
+    lift[np.arange(len(kept)), kept] = 1
+    for v, w in relations:
+        lift[:, v] = -(lift @ w) * w[v]
+    return kept, lift
+
+
+def _delta(g: Multigraph, kept, edge: int) -> np.ndarray:
+    """delta_edge = chi_edge - chi_1 on the kept axes."""
+    chi = np.zeros(g.n, np.int64)
+    chi[list(g.edges[edge])] += 1
+    chi[list(g.edges[0])] -= 1
+    return chi[kept]
+
+
+def _roll(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The tensor t shifted by delta, rolling only the axes it moves."""
+    axes = np.flatnonzero(delta)
+    if not axes.size:
+        return t
+    return np.roll(t, delta[axes], axis=tuple(axes))
+
+
+def _check_stable(g: Multigraph, q: int, level: np.ndarray) -> None:
+    """A stable level is the group the deltas generate, the character
+    group of X: it must hold |X| residues."""
+    expected = degree_formula(graph_stats(g), q)
+    found = int(np.count_nonzero(level))
+    if found != expected:
+        raise ConsistencyError(f"the stable Reach level holds {found} residues "
+                               f"but the degree formula gives {expected}")
+
+
 class ReachTable:
-    """Reach(0..d_max) as bool tensors indexed by residue vectors.  Only
-    the levels up to the first stable one are stored; a later level is
-    the last stored one shifted by a multiple of chi_1."""
+    """Reach(0..d_max), stored as the normalised levels Reach'(d) over
+    the kept axes up to the first stable one; every later level equals
+    it.  The lift rebuilds the dropped coordinates from the kept ones."""
 
-    __slots__ = ("g", "q", "d_max", "_levels", "_trivial")
+    __slots__ = ("g", "q", "d_max", "_levels", "_kept", "_lift")
 
-    def __init__(self, g: Multigraph, q: int, d_max: int, levels, trivial: bool):
+    def __init__(self, g: Multigraph, q: int, d_max: int, levels, kept, lift):
         self.g = g
         self.q = q
         self.d_max = d_max
-        self._levels = levels
-        self._trivial = trivial
+        self._levels = levels  # None at q = 2
+        self._kept = kept
+        self._lift = lift
 
-    def _stored(self, d: int):
-        """The stored level that Reach(d) shifts, and how many chi_1."""
-        last = len(self._levels) - 1
-        return self._levels[min(d, last)], max(d - last, 0)
+    def _level_of(self, d: int) -> np.ndarray:
+        return self._levels[min(d, len(self._levels) - 1)]
 
     def contains(self, d: int, residue) -> bool:
         """Whether some degree-d monomial has the given residue vector,
@@ -89,13 +163,16 @@ class ReachTable:
             return False
         if d > self.d_max:
             raise ValueError(f"table only reaches degree {self.d_max}")
-        if self._trivial:
+        if self._levels is None:
             return True  # every residue is 0 mod 1
-        level, shift = self._stored(d)
-        r = list(residue)
-        for v in self.g.edges[0]:
-            r[v] -= shift
-        return bool(level[tuple(x % (self.q - 1) for x in r)])
+        qm1 = self.q - 1
+        rho = np.array([x % qm1 for x in residue], np.int64)
+        rho[list(self.g.edges[0])] -= d % qm1
+        rho %= qm1
+        reduced = rho[self._kept]
+        if not np.array_equal(reduced @ self._lift % qm1, rho):
+            return False
+        return bool(self._level_of(d)[tuple(reduced)])
 
     def level(self, d: int) -> frozenset:
         """Reach(d) as a set of residue tuples (small instances only)."""
@@ -103,52 +180,53 @@ class ReachTable:
             return frozenset()
         if d > self.d_max:
             raise ValueError(f"table only reaches degree {self.d_max}")
-        if self._trivial:
+        if self._levels is None:
             return frozenset({(0,) * self.g.n})
-        level, shift = self._stored(d)
-        idx = np.argwhere(level)
-        for v in self.g.edges[0]:
-            idx[:, v] = (idx[:, v] + shift) % (self.q - 1)
-        return frozenset(tuple(int(x) for x in row) for row in idx)
+        rows = np.argwhere(self._level_of(d)) @ self._lift
+        rows[:, list(self.g.edges[0])] += d
+        rows %= self.q - 1
+        return frozenset(map(tuple, rows.tolist()))
 
 
-def _reach_step(prev: np.ndarray, g: Multigraph) -> np.ndarray:
-    out = np.zeros_like(prev)
-    for u, w in g.edges:
-        np.logical_or(out, np.roll(prev, (1, 1), axis=(u, w)), out=out)
-    return out
-
-
-def _reach_levels(g: Multigraph, q: int):
-    """Reach(0), Reach(1), ... as bool tensors over residue vectors, for
-    q > 2.  The state cap and the vertex limit are checked before the
-    first level is yielded; each later level costs one `_reach_step`."""
+def _reach_levels(g: Multigraph, q: int, kept):
+    """Reach'(0), Reach'(1), ... as bool tensors over the kept axes, for
+    q > 2.  The state cap and the axis limit are checked before the
+    first level is yielded; each later level rolls the previous one once
+    per distinct nonzero shift delta_j."""
     qm1 = q - 1
+    k = len(kept)
     limit = caps.state_cap()
-    states = qm1**g.n
+    states = qm1**k
     if states > limit:
-        raise TooLargeError(f"(q-1)**n = {states} exceeds the state cap {limit}")
-    if g.n > 32:
-        raise TooLargeError("residue tensors support at most 32 vertices")
-    cur = np.zeros((qm1,) * g.n, dtype=bool)
-    cur[(0,) * g.n] = True
+        raise TooLargeError(f"(q-1)**k = {states} reduced residues exceed the state cap {limit}")
+    if k > 32:
+        raise TooLargeError("residue tensors support at most 32 kept vertices")
+    distinct = {tuple(_delta(g, kept, e) % qm1) for e in range(g.s)}
+    shifts = [np.array(delta) for delta in distinct if any(delta)]
+    cur = np.zeros((qm1,) * k, dtype=bool)
+    cur[(0,) * k] = True
     while True:
         yield cur
-        cur = _reach_step(cur, g)
+        nxt = cur.copy()
+        for delta in shifts:
+            nxt |= _roll(cur, delta)
+        cur = nxt
 
 
 def reachable_residues(g: Multigraph, q: int, d_max: int) -> ReachTable:
     """Dynamic program for Reach(0..d_max), stepped only until the first
     level whose successor has the same size."""
     if q == 2:
-        return ReachTable(g, q, d_max, None, trivial=True)
-    levels = _reach_levels(g, q)
+        return ReachTable(g, q, d_max, None, None, None)
+    kept, lift = _reduced_coordinates(g)
+    levels = _reach_levels(g, q, kept)
     stored = [next(levels)]
     for _, nxt in zip(range(d_max), levels):
         if np.count_nonzero(nxt) == np.count_nonzero(stored[-1]):
+            _check_stable(g, q, nxt)
             break
         stored.append(nxt)
-    return ReachTable(g, q, d_max, stored, trivial=False)
+    return ReachTable(g, q, d_max, stored, kept, lift)
 
 
 def monomial_in_ideal_plus_edge(
@@ -175,21 +253,23 @@ def regularity_sieve(g: Multigraph, q: int, edge: int = 0) -> int:
     """Regularity via the vanishing degree of the quotient by (I, t_edge).
 
     Returns (min d >= 1 such that every residue in Reach(d) steps back to
-    Reach(d-1) through chi_edge) minus 1.  The search is capped at
-    (s-1)(q-2) + 2; running past the cap means a bug or a counterexample
-    and raises.
+    Reach(d-1) through chi_edge) minus 1; in normalised residues, every
+    one in Reach'(d) steps back to Reach'(d-1) through delta_edge.  The
+    search is capped at (s-1)(q-2) + 2; running past the cap means a bug
+    or a counterexample and raises.
     """
     if not (0 <= edge < g.s):
         raise IndexError(f"edge index {edge} out of range")
     if q == 2:
         return 0
-    levels = _reach_levels(g, q)
+    kept, _ = _reduced_coordinates(g)
+    levels = _reach_levels(g, q, kept)
     prev = next(levels)
-    u, w = g.edges[edge]
+    delta = _delta(g, kept, edge)
     ceiling = (g.s - 1) * (q - 2) + 2
     for d, cur in zip(range(1, ceiling + 1), levels):
-        shifted = np.roll(prev, (1, 1), axis=(u, w))
-        if not np.any(cur & ~shifted):
+        if not np.any(cur & ~_roll(prev, delta)):
+            _check_stable(g, q, prev)
             return d - 1
         prev = cur
     raise CeilingExceededError(

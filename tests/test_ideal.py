@@ -1,28 +1,32 @@
 import random
 import time
 from itertools import combinations, islice, product
+from math import comb
 
 import numpy as np
 import pytest
 
+from toricreg import ideal
 from toricreg.cli import main
 from toricreg.errors import (
     CeilingExceededError,
+    ConsistencyError,
     NotHomogeneousError,
     NotSameParityEarError,
     TooLargeError,
 )
 from toricreg.field import Field
 from toricreg.graph import (
+    GraphStats,
     Multigraph,
     cycle_graph,
+    graph_stats,
     parallel_composition,
     path_graph,
     star_graph,
 )
 from toricreg.hilbert import monomials_of_degree
 from toricreg.ideal import (
-    _reach_levels,
     binomial_in_ideal,
     ear_swap,
     monomial_in_ideal_plus_edge,
@@ -32,9 +36,10 @@ from toricreg.ideal import (
     residue_of,
     same_parity_ear_pair,
 )
-from toricreg.points import enumerate_points, evaluate_monomial
+from toricreg.points import degree_formula, enumerate_points, evaluate_monomial
 
 from test_graph import _random_multigraph
+from test_points import MIXED_GRAPHS
 
 
 def test_residue_examples():
@@ -133,6 +138,30 @@ def test_reach_dp_matches_brute_force(q):
             assert reach.level(d) == brute_reach(g, q, d)
 
 
+def reference_levels(g, q, d_max, budget=2000):
+    """Reach(0..d_max) in full residue coordinates, as arrays of residue
+    rows: by brute force while a degree has at most `budget` monomials,
+    then by the defining recursion Reach(d) = union over edges of
+    Reach(d-1) + chi_e."""
+    chi = np.zeros((g.s, g.n), np.int64)
+    for e, (u, w) in enumerate(g.edges):
+        chi[e, [u, w]] = 1
+    radix = (q - 1) ** np.arange(g.n)
+    levels = []
+    for d in range(d_max + 1):
+        if comb(g.s + d - 1, d) <= budget:
+            rows = np.array(sorted(brute_reach(g, q, d)), np.int64)
+        else:
+            rows = (levels[-1][:, None, :] + chi).reshape(-1, g.n) % (q - 1)
+            rows = rows[np.unique(rows @ radix, return_index=True)[1]]
+        levels.append(rows)
+    return levels
+
+
+def as_set(rows):
+    return set(map(tuple, rows.tolist()))
+
+
 def test_reach_table_shifts_past_the_first_stable_level():
     rng = random.Random(20261019)
     pairs = [(g, q) for q in (3, 4, 5) for g in (path_graph(1), path_graph(2), cycle_graph(5))]
@@ -140,21 +169,18 @@ def test_reach_table_shifts_past_the_first_stable_level():
     for g, q in pairs:
         if (q - 1) ** g.n > 1024:
             continue
-        stepped = []
-        for cur in _reach_levels(g, q):
-            if stepped and cur.sum() == stepped[-1].sum():
-                break
-            stepped.append(cur)
-        last = len(stepped) - 1  # the first stable level L
-        stepped += list(islice(_reach_levels(g, q), len(stepped), 3 * last + 3))
-        reach = reachable_residues(g, q, len(stepped) - 1)
+        sizes = [len(level) for level in reference_levels(g, q, g.s * (q - 2) + 2)]
+        last = next(d for d in range(len(sizes) - 1) if sizes[d + 1] == sizes[d])
+        # L = last, the first stable level
+        levels = [as_set(rows) for rows in reference_levels(g, q, 3 * last + 2)]
+        reach = reachable_residues(g, q, len(levels) - 1)
         assert len(reach._levels) == last + 1
-        for d, level in enumerate(stepped):
-            assert reach.level(d) == {tuple(int(x) for x in r) for r in np.argwhere(level)}
+        for d, level in enumerate(levels):
+            assert reach.level(d) == level
             for r in product(range(q - 1), repeat=g.n):
-                assert reach.contains(d, r) == level[r], (g.edges, q, d, r)
+                assert reach.contains(d, r) == (r in level), (g.edges, q, d, r)
         with pytest.raises(ValueError):
-            reach.contains(len(stepped), (0,) * g.n)
+            reach.contains(len(levels), (0,) * g.n)
 
 
 def test_reach_table_reads_residues_mod_q_minus_1():
@@ -187,19 +213,21 @@ def test_cli_member_far_past_the_stable_level(capsys):
     assert capsys.readouterr().out.strip() == "IN (I(X), t_2)"
 
 
-def brute_sieve(g, q, edge):
-    """The sieve's vanishing degree minus 1, from brute-force Reach sets."""
-    u, w = g.edges[edge]
+def brute_sieve(g, q, edge, levels=None):
+    """The sieve's vanishing degree minus 1, from brute-force Reach sets
+    or from `levels` (those of `reference_levels`); residues are compared
+    as integer codes."""
+    chi = np.array([v in g.edges[edge] for v in range(g.n)], np.int64)
+    radix = (q - 1) ** np.arange(g.n)
+
+    def rows(d):
+        if levels is not None:
+            return levels[d]
+        return np.array(list(brute_reach(g, q, d)), np.int64)
+
     d = 1
     while True:
-        prev = brute_reach(g, q, d - 1)
-        stepped = {
-            tuple(
-                (x - (v in (u, w))) % (q - 1) for v, x in enumerate(r)
-            )
-            for r in brute_reach(g, q, d)
-        }
-        if stepped <= prev:
+        if np.isin((rows(d) - chi) % (q - 1) @ radix, rows(d - 1) @ radix).all():
             return d - 1
         d += 1
 
@@ -228,7 +256,7 @@ def test_q2_has_no_vertex_limit():
     assert monomial_in_ideal_plus_edge(g, 2, (1,) + (0,) * 39, 0, reach)
     assert regularity_sieve(g, 2) == 0
     assert regularity_sieve(g, 2, edge=g.s - 1) == 0
-    # at q = 3 the same graph has 2**41 states, far above the cap
+    # at q = 3 the same graph has 2**39 reduced states, far above the cap
     with pytest.raises(TooLargeError):
         reachable_residues(g, 3, 1)
     with pytest.raises(TooLargeError):
@@ -239,6 +267,87 @@ def test_reach_cap(monkeypatch):
     monkeypatch.setenv("TORICREG_MAX_STATES", "100")
     with pytest.raises(TooLargeError):
         reachable_residues(cycle_graph(12), 5, 2)
+
+
+def test_state_cap_counts_the_reduced_residues(monkeypatch):
+    # cycle(7): n=7, m=1, gamma=1, so k = 6 kept axes, 4**6 < 4**7 states
+    g = cycle_graph(7)
+    value = regularity_sieve(g, 5)
+    monkeypatch.setenv("TORICREG_MAX_STATES", str(4**6))
+    assert regularity_sieve(g, 5, edge=3) == value
+    assert len(reachable_residues(g, 5, 40).level(40)) == 4**6
+    monkeypatch.setenv("TORICREG_MAX_STATES", str(4**6 - 1))
+    with pytest.raises(TooLargeError):
+        regularity_sieve(g, 5)
+    with pytest.raises(TooLargeError):
+        reachable_residues(g, 5, 1)
+
+
+def test_tensor_axes_count_the_kept_vertices():
+    # 17 disjoint edges: 34 vertices but k = 16 axes; X is the projective
+    # torus of dimension 16, of regularity 16*(q-2)
+    g = Multigraph(34, [(2 * i, 2 * i + 1) for i in range(17)])
+    assert regularity_sieve(g, 3) == 16
+    assert regularity_sieve(g, 3, edge=16) == 16
+
+
+def test_cli_sieve_answers_parallel_4_5_at_q7(capsys):
+    # 6**9 vertex residues exceed the default state cap, 6**8 kept ones do not
+    assert main(["reg", "parallel(4,5)", "-q", "7", "--method", "sieve", "--edge", "6"]) == 0
+    assert capsys.readouterr().out.strip() == "40"
+
+
+def test_stable_level_must_hold_the_degree(monkeypatch):
+    g = parallel_composition((1, 2))
+    monkeypatch.setattr(ideal, "degree_formula", lambda stats, q: degree_formula(stats, q) + 1)
+    with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
+        regularity_sieve(g, 5, edge=1)
+    with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
+        reachable_residues(g, 5, 20)
+    reachable_residues(g, 5, 2)  # stops before the stable level, unchecked
+    stats = graph_stats(g)
+    bumped = GraphStats(stats.n, stats.m, stats.gamma + 1)
+    monkeypatch.setattr(ideal, "graph_stats", lambda g: bumped)
+    with pytest.raises(ConsistencyError, match="kept vertices"):
+        regularity_sieve(g, 5)
+
+
+def _mixed_multigraph(rng, odd_first):
+    """A random multigraph with at least one bipartite and one
+    non-bipartite component, the first component of the kind asked for."""
+    while True:
+        g = _random_multigraph(rng)
+        stats = graph_stats(g)
+        if 0 < stats.gamma < stats.m and g.s <= 8:
+            comps, _, odd = ideal._traverse(g)
+            if odd[0] == odd_first:
+                return g
+
+
+def test_reach_and_sieve_match_brute_force_on_mixed_graphs():
+    """Disconnected multigraphs mixing bipartite and non-bipartite
+    components in either order: the total-degree drop must sit in the
+    first non-bipartite component, not merely the first component."""
+    rng = random.Random(20261020)
+    graphs = MIXED_GRAPHS + [_mixed_multigraph(rng, odd_first=i % 2 == 0) for i in range(6)]
+    for g in graphs:
+        for q in (3, 4, 5, 7):
+            # the reference runs two levels past the sieve's claim; a
+            # brute-force vanishing degree beyond them raises IndexError
+            levels = reference_levels(g, q, regularity_sieve(g, q) + 2)
+            for edge in range(g.s):
+                assert regularity_sieve(g, q, edge=edge) == brute_sieve(g, q, edge, levels)
+            reach = reachable_residues(g, q, len(levels) - 1)
+            qm1 = q - 1
+            for d, rows in enumerate(levels):
+                level = as_set(rows)
+                assert reach.level(d) == level, (g.edges, q, d)
+                probes = {
+                    tuple((x + (v == u)) % qm1 for v, x in enumerate(r))
+                    for r in islice(level, 20) for u in range(-1, g.n)
+                }
+                for r in probes:
+                    assert reach.contains(d, r) == (r in level), (g.edges, q, d, r)
 
 
 def test_monomial_in_extended_ideal_examples():
