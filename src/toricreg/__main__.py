@@ -1,0 +1,7 @@
+"""``python -m toricreg``: the command-line interface."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -8,26 +8,27 @@ reachability of residues: t^a is in (I, t_j) iff some monomial t^b of
 degree |a|-1 has residue residue(a) - chi_j, where chi_j bumps both
 endpoints of edge j.
 
-Reach(d), the set of residues of all degree-d monomials, satisfies
-Reach(0) = {0} and Reach(d) = union over edges of Reach(d-1) + chi_j.
-The dynamic program runs in the coordinates of X rather than of the
-vertex torus.  A degree-d residue r is normalised to rho = r - d*chi_1,
-so Reach'(d) = Reach(d) - d*chi_1 is the union of Reach'(d-1) shifted
-by delta_j = chi_j - chi_1; delta_1 = 0, so the levels only grow.  Every
-rho obeys one linear relation per bipartite component and one for the
+The dynamic program runs in the coordinates of X.  A degree-d residue r
+is normalised to rho = r - d*chi_1, so Reach'(d), the normalised
+residues of degree-d monomials, is {sum c_j delta_j : sum c_j <= d}
+with delta_j = chi_j - chi_1; delta_1 = 0 pads every sum.  Every rho
+obeys one linear relation per bipartite component and one for the
 total degree, and ``_reduced_coordinates`` drops one vertex per
 relation: the k = n-m+gamma-1 kept vertices determine the rest, and
-their (q-1)**k residues hold the character group of X.  One generator,
-``_reach_levels``, runs the program: it checks the state cap on those
-(q-1)**k cells once, seeds a bool tensor over the kept axes and yields
-Reach'(0), Reach'(1), ... in turn, each level one roll per distinct
-shift.  ``reachable_residues`` keeps levels for membership queries
-until the first L with |Reach'(L+1)| = |Reach'(L)|; the two are then
-equal, and so is every later level.  ``regularity_sieve`` consumes the
-levels one at a time until the quotient by (I, t_edge) vanishes.  Both
-check that the stable level holds |X| residues, as the degree formula
-says it must.  For q = 2 residues live mod 1 and every table collapses
-to the zero vector, so both callers answer without the generator.
+their (q-1)**k residues hold the character group of X.
+``_reach_distances`` stores every level in one tensor over them,
+dist[rho] = the first d with rho in Reach'(d), by min-plus doubling:
+for each distinct nonzero delta and t < T = (q-2).bit_length(), each
+cell takes the least of itself and its neighbour 2^t*delta back plus
+2^t.  The group is abelian, so one generator at a time is exact, and
+the T steps cover 0..2^T-1 >= q-2 copies of each, enough as
+(q-1)*delta = 0.  Cells start at the sentinel inf = (s-1)(q-2)+2 and
+only take minima, so each ends at the least of inf and its distance.
+A group cell left at inf would leave fewer than |X| cells below inf,
+which the degree-formula check rejects; cells outside the group stay at
+inf and are never read.  ``reachable_residues`` reads Reach'(d) as
+{dist <= d}, and ``regularity_sieve`` reads an edge with one roll.  For
+q = 2 every residue is 0 mod 1, so both answer without the tensor.
 """
 
 from __future__ import annotations
@@ -36,13 +37,12 @@ import numpy as np
 
 from . import caps
 from .errors import (
-    CeilingExceededError,
     ConsistencyError,
     NotHomogeneousError,
     NotSameParityEarError,
     TooLargeError,
 )
-from .graph import Multigraph, ParallelSpec, _traverse, ear_walks, graph_stats
+from .graph import GraphStats, Multigraph, ParallelSpec, _traverse, ear_walks
 from .points import degree_formula
 
 
@@ -71,8 +71,8 @@ def binomial_in_ideal(g: Multigraph, q: int, a, b) -> bool:
 
 
 def _reduced_coordinates(g: Multigraph):
-    """The kept vertices of a normalised residue, and the lift back to
-    every vertex, from one traversal.
+    """The kept vertices of a normalised residue, the lift back to every
+    vertex, and the graph's stats, from one traversal.
 
     Each relation below holds for every delta_j, so for every rho, and
     has coefficient +-1 at the vertex it drops:
@@ -82,9 +82,10 @@ def _reduced_coordinates(g: Multigraph):
       the first non-bipartite component.  With none, the colour-0
       classes together sum to 0, so drop the first vertex of the first
       component.
-    Returns (kept, lift) with rho = rho[kept] @ lift mod q-1.
+    Returns (kept, lift, stats) with rho = rho[kept] @ lift mod q-1.
     """
     comps, color, odd = _traverse(g)
+    stats = GraphStats(n=g.n, m=len(comps), gamma=sum(odd))
     sign = 1 - 2 * np.array(color)
     relations = []
     for comp, is_odd in zip(comps, odd):
@@ -99,7 +100,6 @@ def _reduced_coordinates(g: Multigraph):
         relations.insert(0, (comps[0][0], (sign > 0).astype(np.int64)))
     dropped = {v for v, _ in relations}
     kept = [v for v in range(g.n) if v not in dropped]
-    stats = graph_stats(g)
     if len(kept) != stats.n - stats.m + stats.gamma - 1:
         raise ConsistencyError(f"{len(kept)} kept vertices, but n-m+gamma-1 = "
                                f"{stats.n - stats.m + stats.gamma - 1}")
@@ -107,15 +107,14 @@ def _reduced_coordinates(g: Multigraph):
     lift[np.arange(len(kept)), kept] = 1
     for v, w in relations:
         lift[:, v] = -(lift @ w) * w[v]
-    return kept, lift
+    return kept, lift, stats
 
 
-def _delta(g: Multigraph, kept, edge: int) -> np.ndarray:
-    """delta_edge = chi_edge - chi_1 on the kept axes."""
-    chi = np.zeros(g.n, np.int64)
-    chi[list(g.edges[edge])] += 1
-    chi[list(g.edges[0])] -= 1
-    return chi[kept]
+def _deltas(g: Multigraph, kept) -> np.ndarray:
+    """delta_j = chi_j - chi_1 on the kept axes, one row per edge."""
+    chi = np.zeros((g.s, g.n), np.int64)
+    chi[np.arange(g.s)[:, None], g.edges] = 1
+    return (chi - chi[0])[:, kept]
 
 
 def _roll(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -126,33 +125,59 @@ def _roll(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.roll(t, delta[axes], axis=tuple(axes))
 
 
-def _check_stable(g: Multigraph, q: int, level: np.ndarray) -> None:
-    """A stable level is the group the deltas generate, the character
-    group of X: it must hold |X| residues."""
-    expected = degree_formula(graph_stats(g), q)
-    found = int(np.count_nonzero(level))
+def _reach_distances(g: Multigraph, q: int):
+    """(dist, inf, kept, lift) for q > 2: dist[rho] is the first d with
+    rho in Reach'(d) over the kept axes, or the sentinel
+    inf = (s-1)(q-2)+2 if there is none below it.  The state cap and the
+    axis limit are checked before the tensor is allocated, and the
+    stable level after it is built."""
+    kept, lift, stats = _reduced_coordinates(g)
+    qm1 = q - 1
+    k = len(kept)
+    limit = caps.state_cap()
+    states = qm1**k
+    if states > limit:
+        raise TooLargeError(f"(q-1)**k = {states} reduced residues exceed the state cap {limit}")
+    if k > 32:
+        raise TooLargeError("residue tensors support at most 32 kept vertices")
+    distinct = {tuple(delta) for delta in (_deltas(g, kept) % qm1).tolist()}
+    inf = (g.s - 1) * (q - 2) + 2
+    steps = (q - 2).bit_length()
+    dist = np.full((qm1,) * k, inf, np.min_scalar_type(inf + (1 << (steps - 1))))
+    dist[(0,) * k] = 0
+    for delta in distinct:
+        for t in range(steps):
+            shift = np.array(delta) * (1 << t) % qm1
+            if not shift.any():
+                break  # 2^t copies of delta are 0, and so are all longer runs
+            moved = _roll(dist, shift)
+            moved += 1 << t
+            np.minimum(dist, moved, out=dist)
+    # the cells below inf, the stable level, are the character group of X
+    expected = degree_formula(stats, q)
+    found = int(np.count_nonzero(dist < inf))
     if found != expected:
         raise ConsistencyError(f"the stable Reach level holds {found} residues "
                                f"but the degree formula gives {expected}")
+    return dist, inf, kept, lift
 
 
 class ReachTable:
-    """Reach(0..d_max), stored as the normalised levels Reach'(d) over
-    the kept axes up to the first stable one; every later level equals
-    it.  The lift rebuilds the dropped coordinates from the kept ones."""
+    """Reach(0..d_max), stored as one distance tensor over the kept axes:
+    Reach'(d) is the cells with dist <= d, and every level from the
+    largest finite distance on is the stable one.  The lift rebuilds the
+    dropped coordinates from the kept ones."""
 
-    __slots__ = ("g", "q", "d_max", "_levels", "_kept", "_lift")
+    __slots__ = ("g", "q", "d_max", "_dist", "_inf", "_kept", "_lift")
 
-    def __init__(self, g: Multigraph, q: int, d_max: int, levels, kept, lift):
+    def __init__(self, g: Multigraph, q: int, d_max: int, dist, inf, kept, lift):
         self.g = g
         self.q = q
         self.d_max = d_max
-        self._levels = levels  # None at q = 2
+        self._dist = dist  # None at q = 2
+        self._inf = inf
         self._kept = kept
         self._lift = lift
-
-    def _level_of(self, d: int) -> np.ndarray:
-        return self._levels[min(d, len(self._levels) - 1)]
 
     def contains(self, d: int, residue) -> bool:
         """Whether some degree-d monomial has the given residue vector,
@@ -163,7 +188,7 @@ class ReachTable:
             return False
         if d > self.d_max:
             raise ValueError(f"table only reaches degree {self.d_max}")
-        if self._levels is None:
+        if self._dist is None:
             return True  # every residue is 0 mod 1
         qm1 = self.q - 1
         rho = np.array([x % qm1 for x in residue], np.int64)
@@ -172,7 +197,7 @@ class ReachTable:
         reduced = rho[self._kept]
         if not np.array_equal(reduced @ self._lift % qm1, rho):
             return False
-        return bool(self._level_of(d)[tuple(reduced)])
+        return bool(self._dist[tuple(reduced)] <= min(d, self._inf - 1))
 
     def level(self, d: int) -> frozenset:
         """Reach(d) as a set of residue tuples (small instances only)."""
@@ -180,53 +205,20 @@ class ReachTable:
             return frozenset()
         if d > self.d_max:
             raise ValueError(f"table only reaches degree {self.d_max}")
-        if self._levels is None:
+        if self._dist is None:
             return frozenset({(0,) * self.g.n})
-        rows = np.argwhere(self._level_of(d)) @ self._lift
+        rows = np.argwhere(self._dist <= min(d, self._inf - 1)) @ self._lift
         rows[:, list(self.g.edges[0])] += d
         rows %= self.q - 1
         return frozenset(map(tuple, rows.tolist()))
 
 
-def _reach_levels(g: Multigraph, q: int, kept):
-    """Reach'(0), Reach'(1), ... as bool tensors over the kept axes, for
-    q > 2.  The state cap and the axis limit are checked before the
-    first level is yielded; each later level rolls the previous one once
-    per distinct nonzero shift delta_j."""
-    qm1 = q - 1
-    k = len(kept)
-    limit = caps.state_cap()
-    states = qm1**k
-    if states > limit:
-        raise TooLargeError(f"(q-1)**k = {states} reduced residues exceed the state cap {limit}")
-    if k > 32:
-        raise TooLargeError("residue tensors support at most 32 kept vertices")
-    distinct = {tuple(_delta(g, kept, e) % qm1) for e in range(g.s)}
-    shifts = [np.array(delta) for delta in distinct if any(delta)]
-    cur = np.zeros((qm1,) * k, dtype=bool)
-    cur[(0,) * k] = True
-    while True:
-        yield cur
-        nxt = cur.copy()
-        for delta in shifts:
-            nxt |= _roll(cur, delta)
-        cur = nxt
-
-
 def reachable_residues(g: Multigraph, q: int, d_max: int) -> ReachTable:
-    """Dynamic program for Reach(0..d_max), stepped only until the first
-    level whose successor has the same size."""
+    """Reach(0..d_max) from one distance tensor, checked to hold |X|
+    residues at its stable level."""
     if q == 2:
-        return ReachTable(g, q, d_max, None, None, None)
-    kept, lift = _reduced_coordinates(g)
-    levels = _reach_levels(g, q, kept)
-    stored = [next(levels)]
-    for _, nxt in zip(range(d_max), levels):
-        if np.count_nonzero(nxt) == np.count_nonzero(stored[-1]):
-            _check_stable(g, q, nxt)
-            break
-        stored.append(nxt)
-    return ReachTable(g, q, d_max, stored, kept, lift)
+        return ReachTable(g, q, d_max, None, None, None, None)
+    return ReachTable(g, q, d_max, *_reach_distances(g, q))
 
 
 def monomial_in_ideal_plus_edge(
@@ -252,29 +244,31 @@ def monomial_in_ideal_plus_edge(
 def regularity_sieve(g: Multigraph, q: int, edge: int = 0) -> int:
     """Regularity via the vanishing degree of the quotient by (I, t_edge).
 
-    Returns (min d >= 1 such that every residue in Reach(d) steps back to
-    Reach(d-1) through chi_edge) minus 1; in normalised residues, every
-    one in Reach'(d) steps back to Reach'(d-1) through delta_edge.  The
-    search is capped at (s-1)(q-2) + 2; running past the cap means a bug
-    or a counterexample and raises.
+    Returns D - 1 for the least D >= 1 such that every residue in Reach(D)
+    steps back to Reach(D-1) through chi_edge.  x in Reach'(d) fails to
+    step back through delta_edge iff dist[x] <= d <= dist[x - delta_edge],
+    and the failing degrees are 1..D-1 (the quotient stays zero once it
+    vanishes), so D - 1 is the largest dist[x - delta_edge] >= dist[x]
+    over the group; x = 0 always qualifies.
     """
     if not (0 <= edge < g.s):
         raise IndexError(f"edge index {edge} out of range")
+    return sieve_on_edges(g, q, [edge])[0]
+
+
+def sieve_on_edges(g: Multigraph, q: int, edges) -> tuple:
+    """``regularity_sieve`` on each of the given edges, from one distance
+    tensor and one roll per edge."""
     if q == 2:
-        return 0
-    kept, _ = _reduced_coordinates(g)
-    levels = _reach_levels(g, q, kept)
-    prev = next(levels)
-    delta = _delta(g, kept, edge)
-    ceiling = (g.s - 1) * (q - 2) + 2
-    for d, cur in zip(range(1, ceiling + 1), levels):
-        if not np.any(cur & ~_roll(prev, delta)):
-            _check_stable(g, q, prev)
-            return d - 1
-        prev = cur
-    raise CeilingExceededError(
-        f"no vanishing degree found up to the ceiling {ceiling}"
-    )
+        return (0,) * len(edges)
+    dist, inf, kept, _ = _reach_distances(g, q)
+    dist[dist == inf] = 0  # off the group back = dist = 0 too, so those cells add 0
+    deltas = _deltas(g, kept)
+    values = []
+    for edge in edges:
+        back = _roll(dist, deltas[edge])  # back[x] = dist[x - delta]
+        values.append(int(np.max(back, where=back >= dist, initial=0)))
+    return tuple(values)
 
 
 def same_parity_ear_pair(g: Multigraph, i: int, j: int) -> bool:

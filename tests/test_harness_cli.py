@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,12 +258,43 @@ def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
     def refused(*args, **kwargs):
         raise TooLargeError("sieve refused")
 
-    monkeypatch.setattr("toricreg.harness.regularity_sieve", refused)
+    monkeypatch.setattr("toricreg.harness.sieve_on_edges", refused)
     entry = parse_graph_spec("parallel(1,2)")
     report, rows = evaluate_entry(entry, 3)
     assert report.sieve == NOT_RUN
     assert report.rank == report.formula == 2 and report.agree
     assert rows and all(r.satisfied for r in rows)
+
+
+def test_sieve_must_agree_on_every_edge(monkeypatch, tmp_path, capsys):
+    from toricreg.ideal import sieve_on_edges
+
+    def last_edge_off(g, q, edges):
+        values = sieve_on_edges(g, q, edges)
+        return values[:-1] + (values[-1] + 1,)
+
+    monkeypatch.setattr("toricreg.harness.sieve_on_edges", last_edge_off)
+    report, _ = evaluate_entry(parse_graph_spec("cycle(4)"), 3, with_bounds=False)
+    assert report.rank == report.sieve == report.formula == 1
+    assert not report.agree
+    assert report.note == "sieve on edge 4 gives 2"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"spec": "cycle(4)", "q": [3]}]))
+    assert main(["verify", "--catalog", str(catalog), "--skip-bounds"]) == 1
+    assert "MISMATCH cycle(4) q=3: rank=1 sieve=1 formula=1" in capsys.readouterr().out
+
+
+def test_python_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "toricreg", "show", "cycle(3)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("cycle(3): 3 vertices, 3 edges\n")
 
 
 def test_env_var_overrides_caps(monkeypatch):

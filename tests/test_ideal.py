@@ -27,6 +27,7 @@ from toricreg.graph import (
 )
 from toricreg.hilbert import monomials_of_degree
 from toricreg.ideal import (
+    _reach_distances,
     binomial_in_ideal,
     ear_swap,
     monomial_in_ideal_plus_edge,
@@ -35,6 +36,7 @@ from toricreg.ideal import (
     regularity_sieve,
     residue_of,
     same_parity_ear_pair,
+    sieve_on_edges,
 )
 from toricreg.points import degree_formula, enumerate_points, evaluate_monomial
 
@@ -174,7 +176,7 @@ def test_reach_table_shifts_past_the_first_stable_level():
         # L = last, the first stable level
         levels = [as_set(rows) for rows in reference_levels(g, q, 3 * last + 2)]
         reach = reachable_residues(g, q, len(levels) - 1)
-        assert len(reach._levels) == last + 1
+        assert reach._dist[reach._dist < reach._inf].max() == last
         for d, level in enumerate(levels):
             assert reach.level(d) == level
             for r in product(range(q - 1), repeat=g.n):
@@ -304,10 +306,9 @@ def test_stable_level_must_hold_the_degree(monkeypatch):
         regularity_sieve(g, 5, edge=1)
     with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
         reachable_residues(g, 5, 20)
-    reachable_residues(g, 5, 2)  # stops before the stable level, unchecked
-    stats = graph_stats(g)
-    bumped = GraphStats(stats.n, stats.m, stats.gamma + 1)
-    monkeypatch.setattr(ideal, "graph_stats", lambda g: bumped)
+    with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
+        reachable_residues(g, 5, 2)  # the table always holds the stable level
+    monkeypatch.setattr(ideal, "GraphStats", lambda n, m, gamma: GraphStats(n, m, gamma + 1))
     with pytest.raises(ConsistencyError, match="kept vertices"):
         regularity_sieve(g, 5)
 
@@ -348,6 +349,63 @@ def test_reach_and_sieve_match_brute_force_on_mixed_graphs():
                 }
                 for r in probes:
                     assert reach.contains(d, r) == (r in level), (g.edges, q, d, r)
+
+
+def test_distance_tensor_matches_the_levels():
+    """Every level, membership probes and every edge's sieve value read
+    from the one distance tensor, against the recursion.  At q = 8 and 9
+    some shifts have order below q-1, so their doubling stops early."""
+    rng = random.Random(20261021)
+    graphs = MIXED_GRAPHS + [_random_multigraph(rng) for _ in range(24)]
+    checked = 0
+    for q in (3, 4, 5, 7, 8, 9):
+        for g in graphs:
+            if degree_formula(graph_stats(g), q) > 1500:
+                continue
+            levels = reference_levels(g, q, g.s * (q - 2) + 2, budget=100)
+            # L, the first stable level of the recursion
+            last = next(d for d in range(len(levels) - 1) if len(levels[d + 1]) == len(levels[d]))
+            levels = levels[: last + 2]
+            reach = reachable_residues(g, q, 10**6)
+            assert reach._dist[reach._dist < reach._inf].max() == last, (g.edges, q)
+            # far past the ceiling, Reach(d) is the stable level shifted by d*chi_1
+            chi_1 = np.isin(np.arange(g.n), g.edges[0])
+            far = as_set((levels[last] + (10**6 - last) * chi_1) % (q - 1))
+            assert reach.level(10**6) == far
+            if (q - 1) ** g.n <= 4096:
+                for r in product(range(q - 1), repeat=g.n):
+                    assert reach.contains(10**6, r) == (r in far), (g.edges, q, r)
+            values = tuple(brute_sieve(g, q, edge, levels) for edge in range(g.s))
+            assert sieve_on_edges(g, q, range(g.s)) == values, (g.edges, q)
+            assert [regularity_sieve(g, q, edge=e) for e in range(g.s)] == list(values)
+            for d, rows in enumerate(levels):
+                level = as_set(rows)
+                assert reach.level(d) == level, (g.edges, q, d)
+                probes = {
+                    tuple((x + (v == u)) % (q - 1) for v, x in enumerate(r))
+                    for r in islice(level, 10) for u in range(-1, g.n)
+                }
+                for r in probes:
+                    assert reach.contains(d, r) == (r in level), (g.edges, q, d, r)
+            checked += 1
+    assert checked >= 100
+
+
+def test_distance_tensor_widens_past_uint8():
+    # closed forms: an odd k-cycle and a tree of s edges are projective
+    # tori of regularity (k-1)(q-2) and (s-1)(q-2); the sentinel
+    # (s-1)(q-2)+2 plus the largest doubling step picks the dtype
+    for g, q, reg, dtype in [
+        (cycle_graph(5), 17, 60, np.uint8),
+        (cycle_graph(3), 128, 252, np.uint16),
+        (cycle_graph(3), 131, 258, np.uint16),
+        (path_graph(2), 256, 254, np.uint16),
+        (path_graph(2), 65536, 65534, np.uint32),
+    ]:
+        dist, inf, _, _ = _reach_distances(g, q)
+        assert dist.dtype == dtype and inf == (g.s - 1) * (q - 2) + 2
+        assert int(dist[dist < inf].max()) == reg
+        assert sieve_on_edges(g, q, range(g.s)) == (reg,) * g.s
 
 
 def test_monomial_in_extended_ideal_examples():
