@@ -49,7 +49,6 @@ from .ideal import (
     ear_swap,
     monomial_in_ideal_plus_edge,
     parallel_fg_binomial,
-    reachable_residues,
     regularity_sieve,
     residue_of,
 )

@@ -13,11 +13,13 @@ Exit codes: 0 on success and agreement, 1 on a verification mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from itertools import islice
 
+from . import caps
 from .errors import (
     ConsistencyError,
     InvalidSpecError,
@@ -42,9 +44,9 @@ from .harness import (
 )
 from .hilbert import _hilbert_levels, regularity_rank
 from .ideal import (
+    ReachTable,
     binomial_in_ideal,
     monomial_in_ideal_plus_edge,
-    reachable_residues,
     regularity_sieve,
 )
 from .points import degree_formula, enumerate_points
@@ -167,8 +169,7 @@ def _cmd_member(args) -> int:
     j = args.mod_edge
     if not (1 <= j <= g.s):
         raise ParseError(f"edge index must be in 1..{g.s}")
-    reach = reachable_residues(g, args.q, max(sum(a) - 1, 0))
-    verdict = monomial_in_ideal_plus_edge(g, args.q, a, j - 1, reach)
+    verdict = monomial_in_ideal_plus_edge(ReachTable(g, args.q), a, j - 1)
     print(f"IN (I(X), t_{j})" if verdict else f"NOT IN (I(X), t_{j})")
     return 0
 
@@ -178,6 +179,7 @@ def _cmd_verify(args) -> int:
     q_list = tuple(int(tok) for tok in args.q.split(","))
     for q in set(q_list).union(*(entry.qs or () for entry in entries)):
         prime_power(q)
+    caps.state_cap()  # a bad TORICREG_MAX_STATES fails here, not in every entry
     result = verify_suite(
         entries,
         q_list=q_list,
@@ -211,6 +213,7 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricreg",
@@ -269,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command not in ("show", "verify"):
             # the one field-size check; verify applies it to its --q list

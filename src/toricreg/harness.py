@@ -34,7 +34,7 @@ from .formulas import (
 )
 from .graph import FAMILIES, Multigraph, family, graph_stats
 from .hilbert import regularity_rank
-from .ideal import sieve_on_edges
+from .ideal import ReachTable
 from .points import degree_formula, enumerate_points
 
 NOT_RUN = "NOT_RUN"
@@ -254,13 +254,12 @@ def auto_witnesses(g: Multigraph, kind: str = "graph", params=()):
             if g.degree(mate) >= 2:
                 ws.append(PendantWitness(v))
                 break
-    edge_set = set(g.edges)
     non_edge = next(
         (
             (u, v)
             for u in range(g.n)
             for v in range(u + 1, g.n)
-            if (u, v) not in edge_set
+            if not g.is_edge(u, v)
         ),
         None,
     )
@@ -269,16 +268,12 @@ def auto_witnesses(g: Multigraph, kind: str = "graph", params=()):
     if g.s >= 2:
         mid = g.s // 2
         ws.append(CoverWitness(tuple(range(mid + 1)), tuple(range(mid, g.s))))
-    adj = {v: set() for v in range(g.n)}
-    for u, w in g.edges:
-        adj[u].add(w)
-        adj[w].add(u)
     eu, ew = g.edges[-1]
     chosen = []
     for v in range(g.n):
         if v in (eu, ew):
             continue
-        if any(c in adj[v] for c in chosen):
+        if any(g.is_edge(c, v) for c in chosen):
             continue
         chosen.append(v)
     if chosen:
@@ -319,7 +314,8 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
 
     t0 = time.perf_counter()
     try:
-        edge_values = sieve_on_edges(g, q, range(g.s))
+        reach = ReachTable(g, q)
+        edge_values = tuple(reach.sieve(e) for e in range(g.s))
     except TooLargeError:
         edge_values = (NOT_RUN,)
     sieve_value = edge_values[0]

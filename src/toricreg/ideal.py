@@ -16,7 +16,7 @@ obeys one linear relation per bipartite component and one for the
 total degree, and ``_reduced_coordinates`` drops one vertex per
 relation: the k = n-m+gamma-1 kept vertices determine the rest, and
 their (q-1)**k residues hold the character group of X.
-``_reach_distances`` stores every level in one tensor over them,
+``ReachTable(g, q)`` stores every level in one tensor over them,
 dist[rho] = the first d with rho in Reach'(d), by min-plus doubling:
 for each distinct nonzero delta and t < T = (q-2).bit_length(), each
 cell takes the least of itself and its neighbour 2^t*delta back plus
@@ -26,9 +26,11 @@ the T steps cover 0..2^T-1 >= q-2 copies of each, enough as
 only take minima, so each ends at the least of inf and its distance.
 A group cell left at inf would leave fewer than |X| cells below inf,
 which the degree-formula check rejects; cells outside the group stay at
-inf and are never read.  ``reachable_residues`` reads Reach'(d) as
-{dist <= d}, and ``regularity_sieve`` reads an edge with one roll.  For
-q = 2 every residue is 0 mod 1, so both answer without the tensor.
+inf, and no read counts them.  Every read is a method of the one table:
+``contains`` and ``level`` read Reach'(d) as {dist <= d} at any degree,
+and ``sieve`` reads an edge with one roll.  For q = 2 every residue is
+0 mod 1, so no vertex is kept and the tensor has no axes: its one cell
+is the origin, at distance 0.
 """
 
 from __future__ import annotations
@@ -118,66 +120,62 @@ def _deltas(g: Multigraph, kept) -> np.ndarray:
 
 
 def _roll(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """The tensor t shifted by delta, rolling only the axes it moves."""
+    """A fresh copy of t shifted by delta, rolling only the axes it moves."""
     axes = np.flatnonzero(delta)
     if not axes.size:
-        return t
+        return t.copy()
     return np.roll(t, delta[axes], axis=tuple(axes))
 
 
-def _reach_distances(g: Multigraph, q: int):
-    """(dist, inf, kept, lift) for q > 2: dist[rho] is the first d with
-    rho in Reach'(d) over the kept axes, or the sentinel
-    inf = (s-1)(q-2)+2 if there is none below it.  The state cap and the
-    axis limit are checked before the tensor is allocated, and the
-    stable level after it is built."""
-    kept, lift, stats = _reduced_coordinates(g)
-    qm1 = q - 1
-    k = len(kept)
-    limit = caps.state_cap()
-    states = qm1**k
-    if states > limit:
-        raise TooLargeError(f"(q-1)**k = {states} reduced residues exceed the state cap {limit}")
-    if k > 32:
-        raise TooLargeError("residue tensors support at most 32 kept vertices")
-    distinct = {tuple(delta) for delta in (_deltas(g, kept) % qm1).tolist()}
-    inf = (g.s - 1) * (q - 2) + 2
-    steps = (q - 2).bit_length()
-    dist = np.full((qm1,) * k, inf, np.min_scalar_type(inf + (1 << (steps - 1))))
-    dist[(0,) * k] = 0
-    for delta in distinct:
-        for t in range(steps):
-            shift = np.array(delta) * (1 << t) % qm1
-            if not shift.any():
-                break  # 2^t copies of delta are 0, and so are all longer runs
-            moved = _roll(dist, shift)
-            moved += 1 << t
-            np.minimum(dist, moved, out=dist)
-    # the cells below inf, the stable level, are the character group of X
-    expected = degree_formula(stats, q)
-    found = int(np.count_nonzero(dist < inf))
-    if found != expected:
-        raise ConsistencyError(f"the stable Reach level holds {found} residues "
-                               f"but the degree formula gives {expected}")
-    return dist, inf, kept, lift
-
-
 class ReachTable:
-    """Reach(0..d_max), stored as one distance tensor over the kept axes:
-    Reach'(d) is the cells with dist <= d, and every level from the
-    largest finite distance on is the stable one.  The lift rebuilds the
-    dropped coordinates from the kept ones."""
+    """Reach(d) at every degree d, stored as one distance tensor over the
+    kept axes: Reach'(d) is the cells with dist <= d, and every level
+    from the largest finite distance on is the stable one.  The state cap
+    and the axis limit are checked before the tensor is allocated, and
+    the stable level after it is built; then it is made read-only.
+    The lift rebuilds the dropped coordinates from the kept ones."""
 
-    __slots__ = ("g", "q", "d_max", "_dist", "_inf", "_kept", "_lift")
+    __slots__ = ("g", "q", "_dist", "_inf", "_kept", "_lift", "_deltas")
 
-    def __init__(self, g: Multigraph, q: int, d_max: int, dist, inf, kept, lift):
+    def __init__(self, g: Multigraph, q: int):
+        kept, lift, stats = _reduced_coordinates(g)
+        if q == 2:
+            kept, lift = [], lift[:0]  # every residue is 0 mod 1
+        qm1 = q - 1
+        k = len(kept)
+        limit = caps.state_cap()
+        states = qm1**k
+        if states > limit:
+            raise TooLargeError(f"(q-1)**k = {states} reduced residues exceed the state cap {limit}")
+        if k > 32:
+            raise TooLargeError("residue tensors support at most 32 kept vertices")
+        deltas = _deltas(g, kept) % qm1
+        inf = (g.s - 1) * (q - 2) + 2
+        steps = (q - 2).bit_length()
+        dist = np.full((qm1,) * k, inf, np.min_scalar_type(inf + (1 << steps >> 1)))
+        dist[(0,) * k] = 0
+        for delta in {tuple(delta) for delta in deltas.tolist()}:
+            for t in range(steps):
+                shift = np.array(delta) * (1 << t) % qm1
+                if not shift.any():
+                    break  # 2^t copies of delta are 0, and so are all longer runs
+                moved = _roll(dist, shift)
+                moved += 1 << t
+                np.minimum(dist, moved, out=dist)
+        # the cells below inf, the stable level, are the character group of X
+        expected = degree_formula(stats, q)
+        found = int(np.count_nonzero(dist < inf))
+        if found != expected:
+            raise ConsistencyError(f"the stable Reach level holds {found} residues "
+                                   f"but the degree formula gives {expected}")
+        dist.flags.writeable = False
         self.g = g
         self.q = q
-        self.d_max = d_max
-        self._dist = dist  # None at q = 2
+        self._dist = dist
         self._inf = inf
         self._kept = kept
         self._lift = lift
+        self._deltas = deltas
 
     def contains(self, d: int, residue) -> bool:
         """Whether some degree-d monomial has the given residue vector,
@@ -186,10 +184,6 @@ class ReachTable:
             raise ValueError(f"residue has length {len(residue)}, expected {self.g.n}")
         if d < 0:
             return False
-        if d > self.d_max:
-            raise ValueError(f"table only reaches degree {self.d_max}")
-        if self._dist is None:
-            return True  # every residue is 0 mod 1
         qm1 = self.q - 1
         rho = np.array([x % qm1 for x in residue], np.int64)
         rho[list(self.g.edges[0])] -= d % qm1
@@ -203,38 +197,35 @@ class ReachTable:
         """Reach(d) as a set of residue tuples (small instances only)."""
         if d < 0:
             return frozenset()
-        if d > self.d_max:
-            raise ValueError(f"table only reaches degree {self.d_max}")
-        if self._dist is None:
-            return frozenset({(0,) * self.g.n})
         rows = np.argwhere(self._dist <= min(d, self._inf - 1)) @ self._lift
         rows[:, list(self.g.edges[0])] += d
         rows %= self.q - 1
         return frozenset(map(tuple, rows.tolist()))
 
+    def sieve(self, edge: int) -> int:
+        """The regularity read from the vanishing degree of the quotient
+        by (I, t_edge), edge 0-based; see ``regularity_sieve``."""
+        if not (0 <= edge < self.g.s):
+            raise IndexError(f"edge index {edge} out of range")
+        back = _roll(self._dist, self._deltas[edge])  # back[x] = dist[x - delta]
+        # off the group back = dist = inf; inf - 1 < inf drops those cells
+        np.minimum(back, self._inf - 1, out=back)
+        return int(np.max(back, where=back >= self._dist, initial=0))
 
-def reachable_residues(g: Multigraph, q: int, d_max: int) -> ReachTable:
-    """Reach(0..d_max) from one distance tensor, checked to hold |X|
-    residues at its stable level."""
-    if q == 2:
-        return ReachTable(g, q, d_max, None, None, None, None)
-    return ReachTable(g, q, d_max, *_reach_distances(g, q))
 
-
-def monomial_in_ideal_plus_edge(
-    g: Multigraph, q: int, a, edge: int, reach: ReachTable
-) -> bool:
-    """Whether t^a lies in the ideal extended by the variable of `edge`
-    (0-based).  True iff residue(a) - chi_edge is reachable in degree
-    |a| - 1; for |a| = 0 the answer is False (the quotient is nonzero in
-    degree 0)."""
+def monomial_in_ideal_plus_edge(reach: ReachTable, a, edge: int) -> bool:
+    """Whether t^a lies in the ideal of the table's graph and q extended
+    by the variable of `edge` (0-based).  True iff residue(a) - chi_edge
+    is reachable in degree |a| - 1; for |a| = 0 the answer is False (the
+    quotient is nonzero in degree 0)."""
+    g = reach.g
     if not (0 <= edge < g.s):
         raise IndexError(f"edge index {edge} out of range")
     d = sum(a)
     if d == 0:
         return False
-    qm1 = q - 1
-    r = list(residue_of(g, q, a))
+    qm1 = reach.q - 1
+    r = list(residue_of(g, reach.q, a))
     u, w = g.edges[edge]
     r[u] = (r[u] - 1) % qm1
     r[w] = (r[w] - 1) % qm1
@@ -253,22 +244,7 @@ def regularity_sieve(g: Multigraph, q: int, edge: int = 0) -> int:
     """
     if not (0 <= edge < g.s):
         raise IndexError(f"edge index {edge} out of range")
-    return sieve_on_edges(g, q, [edge])[0]
-
-
-def sieve_on_edges(g: Multigraph, q: int, edges) -> tuple:
-    """``regularity_sieve`` on each of the given edges, from one distance
-    tensor and one roll per edge."""
-    if q == 2:
-        return (0,) * len(edges)
-    dist, inf, kept, _ = _reach_distances(g, q)
-    dist[dist == inf] = 0  # off the group back = dist = 0 too, so those cells add 0
-    deltas = _deltas(g, kept)
-    values = []
-    for edge in edges:
-        back = _roll(dist, deltas[edge])  # back[x] = dist[x - delta]
-        values.append(int(np.max(back, where=back >= dist, initial=0)))
-    return tuple(values)
+    return ReachTable(g, q).sieve(edge)
 
 
 def same_parity_ear_pair(g: Multigraph, i: int, j: int) -> bool:

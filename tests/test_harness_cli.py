@@ -258,7 +258,7 @@ def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
     def refused(*args, **kwargs):
         raise TooLargeError("sieve refused")
 
-    monkeypatch.setattr("toricreg.harness.sieve_on_edges", refused)
+    monkeypatch.setattr("toricreg.harness.ReachTable", refused)
     entry = parse_graph_spec("parallel(1,2)")
     report, rows = evaluate_entry(entry, 3)
     assert report.sieve == NOT_RUN
@@ -267,13 +267,15 @@ def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
 
 
 def test_sieve_must_agree_on_every_edge(monkeypatch, tmp_path, capsys):
-    from toricreg.ideal import sieve_on_edges
+    from toricreg.ideal import ReachTable
 
-    def last_edge_off(g, q, edges):
-        values = sieve_on_edges(g, q, edges)
-        return values[:-1] + (values[-1] + 1,)
+    class LastEdgeOff(ReachTable):
+        __slots__ = ()
 
-    monkeypatch.setattr("toricreg.harness.sieve_on_edges", last_edge_off)
+        def sieve(self, edge):
+            return super().sieve(edge) + (edge == self.g.s - 1)
+
+    monkeypatch.setattr("toricreg.harness.ReachTable", LastEdgeOff)
     report, _ = evaluate_entry(parse_graph_spec("cycle(4)"), 3, with_bounds=False)
     assert report.rank == report.sieve == report.formula == 1
     assert not report.agree
@@ -295,6 +297,22 @@ def test_python_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("cycle(3): 3 vertices, 3 edges\n")
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_verify_rejects_a_bad_state_cap_before_the_sweep(raw, monkeypatch, capsys):
+    monkeypatch.setenv("TORICREG_MAX_STATES", raw)
+    assert main(["verify", "--q", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: TORICREG_MAX_STATES ") and err.count("\n") == 1
+
+
+def test_main_calls_do_not_share_arguments(capsys):
+    assert main(["reg", "cycle(4)", "-q", "3", "--method", "sieve", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 1
+    assert main(["reg", "cycle(4)", "-q", "3", "--method", "sieve"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_env_var_overrides_caps(monkeypatch):

@@ -27,16 +27,14 @@ from toricreg.graph import (
 )
 from toricreg.hilbert import monomials_of_degree
 from toricreg.ideal import (
-    _reach_distances,
+    ReachTable,
     binomial_in_ideal,
     ear_swap,
     monomial_in_ideal_plus_edge,
     parallel_fg_binomial,
-    reachable_residues,
     regularity_sieve,
     residue_of,
     same_parity_ear_pair,
-    sieve_on_edges,
 )
 from toricreg.points import degree_formula, enumerate_points, evaluate_monomial
 
@@ -109,7 +107,7 @@ def brute_reach(g, q, d):
 
 def test_reach_examples_path2():
     g = path_graph(2)
-    reach = reachable_residues(g, 3, 2)
+    reach = ReachTable(g, 3)
     assert reach.level(0) == {(0, 0, 0)}
     assert reach.level(1) == {(1, 1, 0), (0, 1, 1)}
     assert reach.level(2) == {(0, 0, 0), (1, 0, 1)}
@@ -117,7 +115,7 @@ def test_reach_examples_path2():
 
 
 def test_reach_examples_triangle():
-    reach = reachable_residues(cycle_graph(3), 3, 2)
+    reach = ReachTable(cycle_graph(3), 3)
     even_weight = {
         v for v in product(range(2), repeat=3) if sum(v) % 2 == 0
     }
@@ -135,7 +133,7 @@ def test_reach_dp_matches_brute_force(q):
         star_graph(4),
     ]
     for g in graphs:
-        reach = reachable_residues(g, q, 4)
+        reach = ReachTable(g, q)
         for d in range(5):
             assert reach.level(d) == brute_reach(g, q, d)
 
@@ -175,20 +173,18 @@ def test_reach_table_shifts_past_the_first_stable_level():
         last = next(d for d in range(len(sizes) - 1) if sizes[d + 1] == sizes[d])
         # L = last, the first stable level
         levels = [as_set(rows) for rows in reference_levels(g, q, 3 * last + 2)]
-        reach = reachable_residues(g, q, len(levels) - 1)
+        reach = ReachTable(g, q)
         assert reach._dist[reach._dist < reach._inf].max() == last
         for d, level in enumerate(levels):
             assert reach.level(d) == level
             for r in product(range(q - 1), repeat=g.n):
                 assert reach.contains(d, r) == (r in level), (g.edges, q, d, r)
-        with pytest.raises(ValueError):
-            reach.contains(len(levels), (0,) * g.n)
 
 
 def test_reach_table_reads_residues_mod_q_minus_1():
     # path(2) at q=4: Reach(1) = {(1,1,0), (0,1,1)}; (0,1,4) used to raise
     # IndexError and only the first edge's endpoints were reduced
-    reach = reachable_residues(path_graph(2), 4, 3)
+    reach = ReachTable(path_graph(2), 4)
     assert reach.contains(1, (0, 1, 4))
     assert reach.contains(1, (3, -2, 1))
     assert not reach.contains(1, (0, 4, 3))
@@ -196,9 +192,9 @@ def test_reach_table_reads_residues_mod_q_minus_1():
         for r in product(range(-3, 7), repeat=3):
             assert reach.contains(d, r) == reach.contains(d, tuple(x % 3 for x in r))
     # at q = 2 every residue is 0 mod 1
-    assert reachable_residues(path_graph(2), 2, 1).contains(1, (1, 0, 5))
+    assert ReachTable(path_graph(2), 2).contains(1, (1, 0, 5))
     for q in (2, 4):
-        table = reachable_residues(path_graph(2), q, 1)
+        table = ReachTable(path_graph(2), q)
         for bad in [(0, 1), (0, 1, 1, 0)]:
             with pytest.raises(ValueError, match="length"):
                 table.contains(1, bad)
@@ -251,16 +247,16 @@ def test_sieve_matches_brute_force(q):
 def test_q2_has_no_vertex_limit():
     # at q = 2 every residue is 0, so a graph of any size has one state
     g = path_graph(40)
-    reach = reachable_residues(g, 2, 3)
+    reach = ReachTable(g, 2)
     zero = (0,) * g.n
     assert all(reach.level(d) == {zero} for d in range(4))
     assert reach.contains(3, zero)
-    assert monomial_in_ideal_plus_edge(g, 2, (1,) + (0,) * 39, 0, reach)
+    assert monomial_in_ideal_plus_edge(reach, (1,) + (0,) * 39, 0)
     assert regularity_sieve(g, 2) == 0
     assert regularity_sieve(g, 2, edge=g.s - 1) == 0
     # at q = 3 the same graph has 2**39 reduced states, far above the cap
     with pytest.raises(TooLargeError):
-        reachable_residues(g, 3, 1)
+        ReachTable(g, 3)
     with pytest.raises(TooLargeError):
         regularity_sieve(g, 3)
 
@@ -268,7 +264,7 @@ def test_q2_has_no_vertex_limit():
 def test_reach_cap(monkeypatch):
     monkeypatch.setenv("TORICREG_MAX_STATES", "100")
     with pytest.raises(TooLargeError):
-        reachable_residues(cycle_graph(12), 5, 2)
+        ReachTable(cycle_graph(12), 5)
 
 
 def test_state_cap_counts_the_reduced_residues(monkeypatch):
@@ -277,12 +273,12 @@ def test_state_cap_counts_the_reduced_residues(monkeypatch):
     value = regularity_sieve(g, 5)
     monkeypatch.setenv("TORICREG_MAX_STATES", str(4**6))
     assert regularity_sieve(g, 5, edge=3) == value
-    assert len(reachable_residues(g, 5, 40).level(40)) == 4**6
+    assert len(ReachTable(g, 5).level(40)) == 4**6
     monkeypatch.setenv("TORICREG_MAX_STATES", str(4**6 - 1))
     with pytest.raises(TooLargeError):
         regularity_sieve(g, 5)
     with pytest.raises(TooLargeError):
-        reachable_residues(g, 5, 1)
+        ReachTable(g, 5)
 
 
 def test_tensor_axes_count_the_kept_vertices():
@@ -305,9 +301,7 @@ def test_stable_level_must_hold_the_degree(monkeypatch):
     with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
         regularity_sieve(g, 5, edge=1)
     with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
-        reachable_residues(g, 5, 20)
-    with pytest.raises(ConsistencyError, match="stable Reach level holds 16"):
-        reachable_residues(g, 5, 2)  # the table always holds the stable level
+        ReachTable(g, 5)
     monkeypatch.setattr(ideal, "GraphStats", lambda n, m, gamma: GraphStats(n, m, gamma + 1))
     with pytest.raises(ConsistencyError, match="kept vertices"):
         regularity_sieve(g, 5)
@@ -338,7 +332,7 @@ def test_reach_and_sieve_match_brute_force_on_mixed_graphs():
             levels = reference_levels(g, q, regularity_sieve(g, q) + 2)
             for edge in range(g.s):
                 assert regularity_sieve(g, q, edge=edge) == brute_sieve(g, q, edge, levels)
-            reach = reachable_residues(g, q, len(levels) - 1)
+            reach = ReachTable(g, q)
             qm1 = q - 1
             for d, rows in enumerate(levels):
                 level = as_set(rows)
@@ -366,7 +360,7 @@ def test_distance_tensor_matches_the_levels():
             # L, the first stable level of the recursion
             last = next(d for d in range(len(levels) - 1) if len(levels[d + 1]) == len(levels[d]))
             levels = levels[: last + 2]
-            reach = reachable_residues(g, q, 10**6)
+            reach = ReachTable(g, q)
             assert reach._dist[reach._dist < reach._inf].max() == last, (g.edges, q)
             # far past the ceiling, Reach(d) is the stable level shifted by d*chi_1
             chi_1 = np.isin(np.arange(g.n), g.edges[0])
@@ -376,7 +370,7 @@ def test_distance_tensor_matches_the_levels():
                 for r in product(range(q - 1), repeat=g.n):
                     assert reach.contains(10**6, r) == (r in far), (g.edges, q, r)
             values = tuple(brute_sieve(g, q, edge, levels) for edge in range(g.s))
-            assert sieve_on_edges(g, q, range(g.s)) == values, (g.edges, q)
+            assert tuple(reach.sieve(e) for e in range(g.s)) == values, (g.edges, q)
             assert [regularity_sieve(g, q, edge=e) for e in range(g.s)] == list(values)
             for d, rows in enumerate(levels):
                 level = as_set(rows)
@@ -402,22 +396,54 @@ def test_distance_tensor_widens_past_uint8():
         (path_graph(2), 256, 254, np.uint16),
         (path_graph(2), 65536, 65534, np.uint32),
     ]:
-        dist, inf, _, _ = _reach_distances(g, q)
+        reach = ReachTable(g, q)
+        dist, inf = reach._dist, reach._inf
         assert dist.dtype == dtype and inf == (g.s - 1) * (q - 2) + 2
         assert int(dist[dist < inf].max()) == reg
-        assert sieve_on_edges(g, q, range(g.s)) == (reg,) * g.s
+        assert [reach.sieve(e) for e in range(g.s)] == [reg] * g.s
+
+
+def test_reads_are_unchanged_by_the_sieve():
+    """One table answers every read alike before and after the sieve on
+    every edge: the sieve never writes the tensor.  The last graph has
+    cells outside the group at odd q, which a written sentinel would
+    bring into the levels."""
+    for g in MIXED_GRAPHS:
+        for q in (3, 5, 7):
+            reach = ReachTable(g, q)
+            top = int(reach._dist[reach._dist < reach._inf].max()) + 1
+            probes = list(islice(product(range(q - 1), repeat=g.n), 500))
+
+            def reads():
+                return (
+                    [reach.level(d) for d in range(top + 1)],
+                    [reach.contains(d, r) for d in (0, top // 2, top) for r in probes],
+                )
+
+            before = reads()
+            values = [reach.sieve(e) for e in range(g.s)]
+            assert reads() == before, (g.edges, q)
+            assert [reach.sieve(e) for e in range(g.s)] == values, (g.edges, q)
+            for bad in (-1, g.s):
+                with pytest.raises(IndexError, match="out of range"):
+                    reach.sieve(bad)
+    with pytest.raises(IndexError, match="out of range"):
+        regularity_sieve(parallel_composition((1, 2)), 5, edge=-1)
 
 
 def test_monomial_in_extended_ideal_examples():
     g = path_graph(2)
-    reach = reachable_residues(g, 3, 3)
-    assert monomial_in_ideal_plus_edge(g, 3, (1, 0), 0, reach)
-    assert monomial_in_ideal_plus_edge(g, 3, (1, 1), 0, reach)
-    assert not monomial_in_ideal_plus_edge(g, 3, (0, 1), 0, reach)
+    reach = ReachTable(g, 3)
+    assert monomial_in_ideal_plus_edge(reach, (1, 0), 0)
+    assert monomial_in_ideal_plus_edge(reach, (1, 1), 0)
+    assert not monomial_in_ideal_plus_edge(reach, (0, 1), 0)
     # degree zero: 1 is not in a proper ideal
-    assert not monomial_in_ideal_plus_edge(g, 3, (0, 0), 0, reach)
+    assert not monomial_in_ideal_plus_edge(reach, (0, 0), 0)
     with pytest.raises(IndexError):
-        monomial_in_ideal_plus_edge(g, 3, (1, 0), 5, reach)
+        monomial_in_ideal_plus_edge(reach, (1, 0), 5)
+    # the exponents are read against the table's own graph
+    with pytest.raises(ValueError, match="expected 3"):
+        monomial_in_ideal_plus_edge(ReachTable(cycle_graph(3), 3), (1, 0), 0)
 
 
 def test_sieve_examples():
