@@ -138,6 +138,28 @@ def rank_reference(rows, field: Field) -> int:
     return rank
 
 
+def _row_order(rows: int) -> np.ndarray:
+    """A fixed, well-mixed permutation of range(rows): the argsort of the
+    splitmix64 finalizer of each index (a bijection of 64-bit words)."""
+    z = np.arange(rows, dtype=np.uint64) + 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return np.argsort(z ^ (z >> 31))
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in [0, p), exact for integer-valued floats within 2**bits - p
+    of zero, bits the dtype's mantissa: the range ``_room`` allows.  Each
+    product stays exact, and rounding to the nearest quotient leaves a
+    remainder in (-p, p) that one floor lifts.  Below 256 entries numpy's
+    remainder, one call, is cheaper."""
+    if x.size < 256:
+        return x % p
+    pinv = 1.0 / p
+    r = x - np.rint(x * pinv) * p
+    return r - np.floor(r * pinv) * p
+
+
 class _PrimeEchelon:
     """Resumable elimination over GF(p) of a matrix with a fixed number
     of rows whose columns arrive in batches; ``rank`` is the rank of
@@ -157,6 +179,13 @@ class _PrimeEchelon:
     dtype is float32 when ``block`` products fit in its 24 bits, float64
     otherwise.
 
+    A single column and its multipliers are reduced by ``_reduce``.
+    Rows start in the fixed hashed order of ``_row_order``, as rank
+    ignores row order: in the given coset order neighbouring points
+    often leave a zero on the diagonal, and each such pivot swaps two
+    multiplier columns: on parallel(3,5) at q = 5, 3,671 of 4,096 pivots
+    swap in the given order and 1,012 in the hashed one.
+
     Resuming needs only the row permutation and the multiplier column
     of each pivot (row t of ``_lt`` holds the multipliers of pivot t).
     A new batch is permuted and brought up to date by ``_update`` over
@@ -173,7 +202,7 @@ class _PrimeEchelon:
         self.dtype = np.float32 if bits == 24 else np.float64
         # products an entry reduced below p can absorb and stay exact
         self._room = ((1 << bits) - p) // (p - 1) ** 2
-        self._perm = np.arange(rows)
+        self._perm = _row_order(rows)
         self._lt = np.empty((rows if capacity is None else capacity, rows), self.dtype)
 
     def _update(self, W, a, b, acc):
@@ -209,7 +238,7 @@ class _PrimeEchelon:
             self._eliminate(W, mid, j1, self._apply(W[:, mid:j1], r, self.rank, acc))
             return
         p, L = self.p, self._lt
-        col = W[r:, j0] % p
+        col = _reduce(W[r:, j0], p)
         nz = np.flatnonzero(col)
         if nz.size == 0:
             return
@@ -219,7 +248,7 @@ class _PrimeEchelon:
             L[:r, [r, r + i]] = L[:r, [r + i, r]]
             self._perm[[r, r + i]] = self._perm[[r + i, r]]
             col[[0, i]] = col[[i, 0]]
-        L[r, r + 1 :] = col[1:] * pow(int(col[0]), -1, p) % p
+        L[r, r + 1 :] = _reduce(col[1:] * pow(int(col[0]), -1, p), p)
         self.rank = r + 1
 
     def add_columns(self, cols: np.ndarray) -> int:
@@ -340,6 +369,13 @@ def hilbert_value(ps: PointSet, d: int, field: Field) -> int:
     return rank
 
 
+def _shift(rows: np.ndarray, col: np.ndarray, qm1: int) -> np.ndarray:
+    """(rows + col) mod qm1 for unsigned logs below qm1 whose sum the dtype
+    holds: below qm1, the sum minus qm1 wraps around above the sum."""
+    s = rows + col
+    return np.minimum(s, s - qm1, out=s)
+
+
 def _hilbert_levels(ps: PointSet, field: Field):
     """H(0), H(1), ... of the point set from one resumable elimination,
     with rows built from the points alone (see the module docstring).
@@ -374,7 +410,7 @@ def _hilbert_levels(ps: PointSet, field: Field):
             if d:
                 bound = len(seen) + (ps.s - 1) * len(frontier)
                 _check_echelon(size, min(size, bound), k, limit)
-            shifts = ((frontier + P[:, j]) % qm1 for j in range(1, ps.s)) if d else [frontier]
+            shifts = (_shift(frontier, P[:, j], qm1) for j in range(1, ps.s)) if d else [frontier]
             frontier = np.vstack([_unique_rows(E, seen) for E in shifts])
             echelon.add_columns(_regular_columns(frontier, blocks))
             prev, h = h, _rank_over_q(echelon, k)

@@ -299,6 +299,26 @@ def test_python_m_runs_the_cli():
     assert done.stdout.startswith("cycle(3): 3 vertices, 3 edges\n")
 
 
+def test_reg_leaves_numpy_random_unimported():
+    """numpy imports numpy.random lazily, and importing it adds about
+    6 MB of resident memory; the rank route needs no randomness."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from toricreg.cli import main\n"
+        "assert main(['reg', 'cycle(4)', '-q', '5']) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_verify_rejects_a_bad_state_cap_before_the_sweep(raw, monkeypatch, capsys):
     monkeypatch.setenv("TORICREG_MAX_STATES", raw)

@@ -10,6 +10,9 @@ from toricreg.graph import cycle_graph, parallel_composition, path_graph, simpli
 from toricreg.hilbert import (
     _PrimeEchelon,
     _hilbert_levels,
+    _reduce,
+    _row_order,
+    _shift,
     evaluation_columns,
     gf_rank,
     hilbert_value,
@@ -209,7 +212,9 @@ def test_echelon_reduces_before_a_panel_overflows():
     such products from the replay of the first batch's pivots, and
     applying its own first pivot to its second column would add a third
     to the entry that decides the last pivot: unreduced, that entry is
-    odd and above 2**24, so it would round."""
+    odd and above 2**24, so it would round.  The rows are fed in the
+    inverse of the echelon's row order, so that they meet the
+    elimination in the order written here."""
     p = 2897
     mat = np.array(
         [
@@ -223,8 +228,88 @@ def test_echelon_reduces_before_a_panel_overflows():
     logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
     echelon = _PrimeEchelon(4, p, block=2)
     assert echelon.dtype == np.float32
-    echelon.add_columns(mat[:, :2])
-    assert echelon.add_columns(mat[:, 2:]) == rank_reference(logs, field) == 3
+    fed = mat[np.argsort(echelon._perm)]
+    echelon.add_columns(fed[:, :2])
+    assert echelon.add_columns(fed[:, 2:]) == rank_reference(logs, field) == 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2039, 2897, 4093])
+@pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
+def test_reduce_is_exact_over_the_delayed_reduction_range(p, dtype, bits):
+    """An entry reduced below p absorbs at most ``_room`` products of
+    (p-1)**2, so it lies within 2**bits - p of zero: the residue must be
+    exact there, at both ends, on negatives and on multiples of p."""
+    lim = (1 << bits) - p
+    rng = np.random.default_rng(p * bits)
+    k = lim // p
+    xi = np.concatenate(
+        [
+            np.arange(-lim, -lim + 1000),
+            np.arange(lim - 999, lim + 1),
+            np.arange(-1000, 1000),
+            p * np.arange(-k, -k + 500),
+            p * np.arange(k - 499, k + 1),
+            p * np.arange(-250, 250),
+            rng.integers(-lim, lim + 1, size=20000),
+        ]
+    )
+    x = xi.astype(dtype)
+    assert np.array_equal(x.astype(np.int64), xi)
+    for chunk in (x, x[:100]):  # the short one takes numpy's remainder
+        got = _reduce(chunk, p)
+        assert got.dtype == dtype
+        assert np.array_equal(got.astype(np.int64), xi[: chunk.size] % p)
+
+
+def test_zero_diagonal_ranks_like_the_reference():
+    """In their given order the rows put a zero on every diagonal
+    position, so every pivot of an echelon in that order needs a row
+    swap; the rank must not depend on the order the echelon uses."""
+    rng = np.random.default_rng(13)
+    for p in (2, 3, 5, 2039):
+        field = Field(p)
+        for m, n, r in ((24, 24, 24), (30, 40, 9), (40, 18, 18)):
+            mat = _low_rank(rng, p, m, n, r)
+            mat[np.arange(min(m, n)), np.arange(min(m, n))] = 0
+            logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
+            expected = rank_reference(logs, field)
+            assert _rank_p(mat, p) == expected
+            echelon = _PrimeEchelon(m, p, block=4)
+            for lo in range(0, n, 5):
+                echelon.add_columns(mat[:, lo : lo + 5])
+            assert echelon.rank == expected, (p, m, n)
+
+
+def test_row_order_is_a_fixed_permutation():
+    for rows in (0, 1, 2, 7, 4096):
+        order = _row_order(rows)
+        assert np.array_equal(np.sort(order), np.arange(rows))
+        assert np.array_equal(_row_order(rows), order)
+        assert np.array_equal(_PrimeEchelon(rows, 5)._perm, order)
+    mask = (1 << 64) - 1
+
+    def splitmix64(x):
+        z = (x + 0x9E3779B97F4A7C15) & mask
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    # the first output of SplitMix64 seeded with 0
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
+    assert _row_order(64).tolist() == sorted(range(64), key=splitmix64)
+    # well mixed: neighbouring indices do not stay neighbours
+    order = _row_order(4096)
+    assert np.count_nonzero(np.abs(np.diff(order)) == 1) < 20
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 128, 131])
+def test_shift_is_the_sum_mod_q_minus_1(q):
+    qm1 = q - 1
+    dtype = np.min_scalar_type(2 * (qm1 - 1))
+    a, b = np.meshgrid(np.arange(qm1), np.arange(qm1))
+    got = _shift(a.astype(dtype), b.astype(dtype), qm1)
+    assert got.dtype == dtype
+    assert np.array_equal(got, (a + b) % qm1)
 
 
 def test_evaluation_columns_shape_and_range():
