@@ -15,7 +15,9 @@ import os
 ENV_VAR = "TORICREG_MAX_STATES"
 
 DEFAULT_STATE_CAP = 10_000_000
-DEFAULT_MATRIX_CAP = 100_000_000  # 400 MB of float32 multipliers
+# multipliers take 4 bytes a cell for p <= 251 (float32), 8 above (float64):
+# up to 800 MB at this cap
+DEFAULT_MATRIX_CAP = 100_000_000
 
 
 def _env_cap():

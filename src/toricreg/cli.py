@@ -32,7 +32,6 @@ from .field import Field, prime_power
 from .graph import graph_stats
 from .harness import (
     NOT_APPLICABLE,
-    NOT_RUN,
     _formula_for_entry,
     default_catalog,
     evaluate_entry,

@@ -240,9 +240,6 @@ class Field:
             raise ZeroDivisionError("inverse of the field zero")
         return (-a) % (self.q - 1)
 
-    def div(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: FieldElem, e: int) -> FieldElem:
         if a == ZERO:
             if e > 0:

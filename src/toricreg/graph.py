@@ -172,19 +172,9 @@ def complete_bipartite(a: int, b: int) -> Multigraph:
 def complete_multipartite(*sizes: int) -> Multigraph:
     if len(sizes) < 2 or any(a < 1 for a in sizes):
         raise InvalidSpecError("need >= 2 parts of size >= 1")
-    bounds, acc = [], 0
-    part = {}
-    for idx, a in enumerate(sizes):
-        for v in range(acc, acc + a):
-            part[v] = idx
-        acc += a
-    n = acc
-    edges = sorted(
-        (u, w) for u, w in combinations(range(n), 2) if part[u] != part[w]
-    )
-    if not edges:
-        raise InvalidSpecError("complete multipartite graph has no edges")
-    return Multigraph(n, edges)
+    part = [idx for idx, a in enumerate(sizes) for _ in range(a)]
+    edges = [(u, w) for u, w in combinations(range(len(part)), 2) if part[u] != part[w]]
+    return Multigraph(len(part), edges)
 
 
 def star_graph(leaves: int) -> Multigraph:
@@ -314,13 +304,7 @@ def delete_pendant(g: Multigraph, v: int) -> Multigraph:
 def simplify(g: Multigraph) -> Multigraph:
     """Drop duplicate edges, keeping the lowest-indexed copy of each pair;
     relative edge order is preserved.  Idempotent."""
-    seen = set()
-    edges = []
-    for e in g.edges:
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
-    return Multigraph(g.n, edges)
+    return Multigraph(g.n, list(dict.fromkeys(g.edges)))
 
 
 def edge_subgraph(g: Multigraph, edge_ids) -> Multigraph:
@@ -406,35 +390,20 @@ def ear_walks(g: Multigraph):
     """
     walks = []
     used = [False] * g.s
-    anchors = [v for v in range(g.n) if g.degree(v) != 2]
-    for a in anchors:
-        for eid0 in g.edges_at(a):
-            if used[eid0]:
-                continue
-            seq = [eid0]
-            used[eid0] = True
-            u, w = g.edges[eid0]
-            cur = w if a == u else u
-            while g.degree(cur) == 2 and cur != a:
-                nxt_eid = next(e for e in g.edges_at(cur) if e != seq[-1])
-                seq.append(nxt_eid)
-                used[nxt_eid] = True
-                x, y = g.edges[nxt_eid]
-                cur = y if cur == x else x
-            walks.append((tuple(seq), a, cur, cur == a))
-    for eid0 in range(g.s):
-        # leftover edges belong to components where every degree is 2
-        if used[eid0]:
+    # every edge left after the anchored seeds lies on a pure cycle
+    seeds = [(v, eid) for v in range(g.n) if g.degree(v) != 2 for eid in g.edges_at(v)]
+    seeds += [(g.edges[eid][0], eid) for eid in range(g.s)]
+    for a, eid in seeds:
+        if used[eid]:
             continue
-        a = g.edges[eid0][0]
-        seq = [eid0]
-        used[eid0] = True
-        cur = g.edges[eid0][1]
-        while cur != a:
-            nxt_eid = next(e for e in g.edges_at(cur) if e != seq[-1])
-            seq.append(nxt_eid)
-            used[nxt_eid] = True
-            x, y = g.edges[nxt_eid]
-            cur = y if cur == x else x
-        walks.append((tuple(seq), a, a, True))
+        seq, cur = [], a
+        while True:
+            seq.append(eid)
+            used[eid] = True
+            u, w = g.edges[eid]
+            cur = w if cur == u else u
+            if g.degree(cur) != 2 or cur == a:
+                break
+            eid = next(e for e in g.edges_at(cur) if e != eid)
+        walks.append((tuple(seq), a, cur, cur == a))
     return walks

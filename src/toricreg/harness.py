@@ -22,7 +22,6 @@ from itertools import combinations_with_replacement
 from .errors import ParseError, TooLargeError
 from .formulas import (
     BipartiteBoundWitness,
-    BoundRow,
     ContractionWitness,
     CoverWitness,
     IndependentSetWitness,

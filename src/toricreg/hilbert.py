@@ -206,24 +206,21 @@ class _PrimeEchelon:
         self._lt = np.empty((rows if capacity is None else capacity, rows), self.dtype)
 
     def _update(self, W, a, b, acc):
-        """Apply pivots a..b-1 to W, whose rows are already permuted and
-        reduced by every earlier pivot, with at most `acc` products
-        pending in any entry; returns the new pending count."""
+        """Apply pivots a..b-1, ``block`` at a time, to W, whose rows are
+        already permuted and reduced by every earlier pivot, with at most
+        `acc` products pending in any entry; returns the new pending count."""
         p, L = self.p, self._lt
-        if acc + b - a > self._room:
-            W[a:] %= p
-            acc = 0
-        W[a] %= p
-        for t in range(a + 1, b):
-            W[t] -= L[a:t, t] @ W[a:t]
-            W[t] %= p
-        W[b:] -= L[a:b, b:].T @ W[a:b]
-        return acc + b - a
-
-    def _apply(self, W, a, b, acc):
-        """`_update` over pivots a..b-1, at most ``block`` at a time."""
         for c in range(a, b, self.block):
-            acc = self._update(W, c, min(c + self.block, b), acc)
+            e = min(c + self.block, b)
+            if acc + e - c > self._room:
+                W[c:] %= p
+                acc = 0
+            W[c] %= p
+            for t in range(c + 1, e):
+                W[t] -= L[c:t, t] @ W[c:t]
+                W[t] %= p
+            W[e:] -= L[c:e, e:].T @ W[c:e]
+            acc += e - c
         return acc
 
     def _eliminate(self, W, j0, j1, acc):
@@ -235,7 +232,7 @@ class _PrimeEchelon:
         if j1 - j0 > 1:
             mid = (j0 + j1) // 2
             self._eliminate(W, j0, mid, acc)
-            self._eliminate(W, mid, j1, self._apply(W[:, mid:j1], r, self.rank, acc))
+            self._eliminate(W, mid, j1, self._update(W[:, mid:j1], r, self.rank, acc))
             return
         p, L = self.p, self._lt
         col = _reduce(W[r:, j0], p)
@@ -252,12 +249,14 @@ class _PrimeEchelon:
         self.rank = r + 1
 
     def add_columns(self, cols: np.ndarray) -> int:
-        """Feed the columns of an integer (rows, c) matrix; returns the
-        rank of all columns fed so far."""
+        """Feed the columns of an integer (rows, c) matrix of digits in
+        [0, p), cast unreduced: ``_regular_columns`` only copies such digits
+        out of ``_multiplication_blocks`` (a test checks every field's
+        blocks).  Returns the rank of all columns fed so far."""
         if self.rank == self._perm.size or cols.shape[1] == 0:
             return self.rank
-        W = (cols[self._perm] % self.p).astype(self.dtype)
-        self._eliminate(W, 0, W.shape[1], self._apply(W, 0, self.rank, 0))
+        W = cols[self._perm].astype(self.dtype)
+        self._eliminate(W, 0, W.shape[1], self._update(W, 0, self.rank, 0))
         return self.rank
 
 
@@ -440,13 +439,12 @@ def regularity_rank(g: Multigraph, q: int, points: PointSet | None = None) -> Hi
     ps = points if points is not None else enumerate_points(g, q)
     if ps.s != g.s or ps.q != q:
         raise ValueError("point set does not match the graph and field")
-    target = ps.size
     ceiling = (g.s - 1) * (q - 2) + 1
     values = []
     for d, h in zip(range(ceiling + 1), _hilbert_levels(ps, field)):
         values.append(h)
-        if h == target:
-            return HilbertProfile(values=tuple(values), degree=target, regularity=d)
+        if h == size:
+            return HilbertProfile(values=tuple(values), degree=size, regularity=d)
     raise CeilingExceededError(
-        f"Hilbert function did not reach {target} by degree {ceiling}"
+        f"Hilbert function did not reach {size} by degree {ceiling}"
     )

@@ -307,21 +307,16 @@ def parallel_fg_binomial(spec, i: int, j: int):
         raise IndexError(f"path index out of range for r = {spec.r}")
     if i == j:
         raise IndexError("path indices must differ")
-    s = spec.size
-    offs = spec.offsets
+    offs, lens = spec.offsets, spec.lengths
 
-    def f_exps(p):
-        k = spec.lengths[p]
-        return [offs[p] + 2 * t for t in range((k + 1) // 2)]
+    def every_other(p, start):
+        # f_p from the path's first edge (start 0), g_p from its second
+        return range(offs[p] + start, offs[p] + lens[p], 2)
 
-    def g_exps(p):
-        k = spec.lengths[p]
-        return [offs[p] + 1 + 2 * t for t in range(k // 2)]
+    def exponents(f, g):
+        vec = [0] * spec.size
+        for e in (*every_other(f, 0), *every_other(g, 1)):
+            vec[e] += 1
+        return tuple(vec)
 
-    first = [0] * s
-    for e in f_exps(i) + g_exps(j):
-        first[e] += 1
-    second = [0] * s
-    for e in f_exps(j) + g_exps(i):
-        second[e] += 1
-    return tuple(first), tuple(second)
+    return exponents(i, j), exponents(j, i)

@@ -206,6 +206,15 @@ def test_verify_suite_process_pool():
     ]
 
 
+def test_verify_q3_prints_the_golden_report(capsys, monkeypatch):
+    """The whole `verify --q 3` text, 54 instance checks and 208 bound
+    rows, byte for byte as saved in verify_q3.golden.txt."""
+    monkeypatch.delenv("TORICREG_MAX_STATES", raising=False)
+    assert main(["verify", "--q", "3"]) == 0
+    golden = Path(__file__).with_name("verify_q3.golden.txt").read_text()
+    assert capsys.readouterr().out == golden
+
+
 def test_verify_jobs_checked_and_bounded(capsys, monkeypatch):
     import toricreg.harness as harness
 

@@ -10,6 +10,7 @@ from toricreg.graph import cycle_graph, parallel_composition, path_graph, simpli
 from toricreg.hilbert import (
     _PrimeEchelon,
     _hilbert_levels,
+    _multiplication_blocks,
     _reduce,
     _row_order,
     _shift,
@@ -24,6 +25,7 @@ from toricreg.hilbert import (
 from toricreg.ideal import regularity_sieve
 from toricreg.points import PointSet, enumerate_points
 
+from test_field import PRIME_POWERS_64
 from test_graph import _random_multigraph
 
 
@@ -157,6 +159,19 @@ def test_extension_rank_crosses_block_boundaries(q):
     assert field.k * len(mat[0]) > 256
     expected = rank_reference(mat, field)
     assert gf_rank(np.array(mat, dtype=np.int64), field) == expected
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_64)
+def test_multiplication_blocks_hold_digits_below_p(q):
+    """`_PrimeEchelon.add_columns` casts the fed digits without reducing
+    them mod p, so every block entry must already lie in [0, p); the
+    last block, where ZERO = -1 lands, is the zero matrix."""
+    field = Field(q)
+    blocks = _multiplication_blocks(field)
+    assert blocks.shape == (q, field.k, field.k)
+    assert blocks.min() >= 0 and blocks.max() < field.p
+    assert not blocks[-1].any()
+    assert blocks[:-1].any(axis=(1, 2)).all()
 
 
 def test_blocked_rank_full_rank_square():
