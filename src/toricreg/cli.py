@@ -20,14 +20,7 @@ import time
 from itertools import islice
 
 from . import caps
-from .errors import (
-    ConsistencyError,
-    InvalidSpecError,
-    NotHomogeneousError,
-    NotPrimePowerError,
-    ParseError,
-    TooLargeError,
-)
+from .errors import ConsistencyError, ParseError, TooLargeError
 from .field import Field, prime_power
 from .graph import graph_stats
 from .harness import (
@@ -278,16 +271,7 @@ def main(argv=None) -> int:
             # and to the catalog's q lists
             prime_power(args.q)
         return args.func(args)
-    except (
-        ParseError,
-        InvalidSpecError,
-        NotPrimePowerError,
-        NotHomogeneousError,
-        OverflowError,
-        OSError,
-        ValueError,
-        TooLargeError,
-    ) as exc:
+    except (ValueError, OverflowError, OSError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -15,7 +15,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations_with_replacement
 
@@ -432,6 +431,9 @@ def verify_suite(
             work.append((entry, q, with_bounds))
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: multiprocessing is a large share of a cold start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_job, work))
     else:

@@ -14,17 +14,13 @@ Two elimination routines compute ranks:
   representation.  The simple spec of the method; quadratic-times-cols
   in pure Python, so only usable for small matrices.  The tests
   cross-check the production path against it.
-* ``_PrimeEchelon`` -- recursive elimination mod a prime p: each span
-  of columns is halved, and the pivots of the left half reach the right
-  half through one float matmul update with delayed reduction.  It is
-  resumable: columns may arrive in batches, and each batch is brought
-  up to date with the pivots already found by the same update, from the
-  stored row permutation and multipliers.
-
-``gf_rank`` serves every q = p**k with that kernel through the regular
-representation: each entry becomes the k x k matrix over GF(p) of
-multiplication by it, and the GF(p) rank of the result is k times the
-GF(q) rank.  ``hilbert_value`` ranks a single degree on its own that way.
+* ``_Echelon`` -- recursive elimination over GF(q), q = p**k, on the
+  base-p digits of the entries: each span of columns is halved, and the
+  pivots of the left half reach the right half through one float matmul
+  over GF(p) with delayed reduction.  It is resumable: columns may
+  arrive in batches, and each batch is brought up to date with the
+  pivots already found by the same update, from the stored row
+  permutation and multipliers.  ``gf_rank`` ranks one matrix with it.
 
 The two routes to H(d) build their rows by different methods, so each
 checks the other.  ``hilbert_value`` enumerates the degree-d monomials
@@ -43,6 +39,7 @@ also checked to equal the number of distinct rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import count
 from math import comb
@@ -160,10 +157,40 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return r - np.floor(r * pinv) * p
 
 
-class _PrimeEchelon:
-    """Resumable elimination over GF(p) of a matrix with a fixed number
-    of rows whose columns arrive in batches; ``rank`` is the rank of
-    every column fed so far.
+@functools.cache
+def _digit_table(field: Field) -> np.ndarray:
+    """Base-p digits of every element of GF(q) as a (q, k) table: row e
+    holds those of g**e, constant term first, and the last row, where the
+    index ZERO = -1 lands, is zero.  Digits are stored in the smallest
+    signed dtype that holds p."""
+    p, k = field.p, field.k
+    digits = np.zeros((field.q, k), dtype=np.min_scalar_type(-p))
+    digits[:-1] = field.exp_array[:, None] // p ** np.arange(k) % p
+    return digits
+
+
+@functools.lru_cache(maxsize=1024)
+def _multiplier_table(field: Field, pivot: bytes, dtype) -> np.ndarray:
+    """The (k, k, k) table whose entry (u, a, v) is digit v of g**(a+u) /
+    pivot, a nonzero given by the bytes of its k digits in `dtype`: digits
+    f times table[u] are the digits of f * g**u / pivot, column u of the
+    multiplication matrix of f / pivot."""
+    k = field.k
+    e = field.log_table[int(np.frombuffer(pivot, dtype) @ field.p ** np.arange(k))]
+    shifts = np.add.outer(np.arange(k), np.arange(k)) - e
+    return _digit_table(field)[shifts % (field.q - 1)].astype(dtype)
+
+
+class _Echelon:
+    """Resumable elimination over GF(q), q = p**k, of a matrix with a
+    fixed number of rows whose columns arrive in batches; ``rank`` is the
+    rank of every column fed so far.
+
+    Each entry is held as its k base-p digits (in the basis 1, g, ...,
+    g**(k-1)), so the work matrix has k rows per matrix row, and
+    subtracting m times a row multiplies its k digit rows by the k x k
+    matrix over GF(p) of multiplication by m: all arithmetic is over
+    GF(p), and each pivot spans k work rows.
 
     Recursive LU with row pivoting, as in Dumas-Pernet-Sultan (ISSAC
     2013): a span of columns is split in two, the left half is
@@ -173,52 +200,61 @@ class _PrimeEchelon:
     the rest of it.  All arithmetic on the work matrix happens in
     ``_update``: forward substitution among a run of at most ``block``
     pivots, then one matrix product for the rows below them.  Every
-    product added to an entry is at most (p-1)**2, so entries are
-    reduced mod p only when the next update could carry them past the
-    float mantissa (delayed modular reduction, as in FFLAS-FFPACK).  The
-    dtype is float32 when ``block`` products fit in its 24 bits, float64
-    otherwise.
+    pivot adds k products of at most (p-1)**2 to an entry, so entries
+    are reduced mod p only when the next update could carry them past
+    the float mantissa (delayed modular reduction, as in FFLAS-FFPACK).
+    The dtype is float32 when ``block`` pivots fit in its 24 bits,
+    float64 otherwise.
 
     A single column and its multipliers are reduced by ``_reduce``.
     Rows start in the fixed hashed order of ``_row_order``, as rank
     ignores row order: in the given coset order neighbouring points
-    often leave a zero on the diagonal, and each such pivot swaps two
-    multiplier columns: on parallel(3,5) at q = 5, 3,671 of 4,096 pivots
-    swap in the given order and 1,012 in the hashed one.
+    often leave a zero on the diagonal, and each such pivot swaps the
+    multiplier columns of two rows: on parallel(3,5) at q = 5, 3,671 of
+    4,096 pivots swap in the given order and 1,012 in the hashed one.
 
-    Resuming needs only the row permutation and the multiplier column
-    of each pivot (row t of ``_lt`` holds the multipliers of pivot t).
-    A new batch is permuted and brought up to date by ``_update`` over
-    the pivots already found, then eliminated.  ``capacity`` bounds the
-    rank and sizes the multiplier buffer, allocated once; its pages
-    become resident only as pivots are stored.
+    Resuming needs only the row permutation and the multipliers: rows
+    k*t to k*t+k-1 of ``_lt`` hold, for every row below pivot t, the
+    transposed multiplication matrix of its multiplier.  A new batch is
+    permuted and brought up to date by ``_update`` over the pivots
+    already found, then eliminated.  ``capacity`` bounds the rank and
+    sizes the multiplier buffer, allocated once; its pages become
+    resident only as pivots are stored.
     """
 
-    def __init__(self, rows: int, p: int, capacity: int | None = None, block: int = 256):
-        self.p = p
+    def __init__(self, rows: int, field: Field, capacity: int | None = None, block: int = 256):
+        p, k = field.p, field.k
+        self.p, self.k = p, k
         self.block = block
         self.rank = 0
-        bits = 24 if block * (p - 1) ** 2 + p < (1 << 24) else 53
+        bits = 24 if block * k * (p - 1) ** 2 + p < (1 << 24) else 53
         self.dtype = np.float32 if bits == 24 else np.float64
         # products an entry reduced below p can absorb and stay exact
         self._room = ((1 << bits) - p) // (p - 1) ** 2
         self._perm = _row_order(rows)
-        self._lt = np.empty((rows if capacity is None else capacity, rows), self.dtype)
+        self._field = field
+        digits = _digit_table(field)
+        # each element's k digits as one item, so that a gather copies items
+        self._digits = digits.view(np.dtype((np.void, digits.itemsize * k)))
+        self._digit_dtype = digits.dtype
+        self._tables = {}  # pivot digits, as bytes -> its _multiplier_table
+        self._lt = np.empty(((rows if capacity is None else capacity) * k, rows * k), self.dtype)
 
     def _update(self, W, a, b, acc):
         """Apply pivots a..b-1, ``block`` at a time, to W, whose rows are
         already permuted and reduced by every earlier pivot, with at most
         `acc` products pending in any entry; returns the new pending count."""
-        p, L = self.p, self._lt
-        for c in range(a, b, self.block):
-            e = min(c + self.block, b)
+        p, k, L = self.p, self.k, self._lt
+        for c in range(a * k, b * k, self.block * k):
+            e = min(c + self.block * k, b * k)
             if acc + e - c > self._room:
                 W[c:] %= p
                 acc = 0
-            W[c] %= p
-            for t in range(c + 1, e):
-                W[t] -= L[c:t, t] @ W[c:t]
-                W[t] %= p
+            W[c : c + k] %= p
+            for t in range(c + k, e, k):
+                Wt = W[t : t + k]
+                Wt -= L[c:t, t : t + k].T @ W[c:t]
+                Wt %= p
             W[e:] -= L[c:e, e:].T @ W[c:e]
             acc += e - c
         return acc
@@ -234,82 +270,51 @@ class _PrimeEchelon:
             self._eliminate(W, j0, mid, acc)
             self._eliminate(W, mid, j1, self._update(W[:, mid:j1], r, self.rank, acc))
             return
-        p, L = self.p, self._lt
-        col = _reduce(W[r:, j0], p)
-        nz = np.flatnonzero(col)
+        p, k, L = self.p, self.k, self._lt
+        rk = r * k
+        col = _reduce(W[rk:, j0], p)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             return
-        i = int(nz[0])
+        i = int(nz[0]) // k
+        F = col.reshape(-1, k)
         if i:
-            W[[r, r + i], j0:] = W[[r + i, r], j0:]
-            L[:r, [r, r + i]] = L[:r, [r + i, r]]
+            rows = [*range(rk, rk + k), *range(rk + i * k, rk + i * k + k)]
+            swapped = rows[k:] + rows[:k]
+            W[rows, j0:] = W[swapped, j0:]
+            L[:rk, rows] = L[:rk, swapped]
             self._perm[[r, r + i]] = self._perm[[r + i, r]]
-            col[[0, i]] = col[[i, 0]]
-        L[r, r + 1 :] = _reduce(col[1:] * pow(int(col[0]), -1, p), p)
+            F[[0, i]] = F[[i, 0]]
+        key = F[0].tobytes()
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = _multiplier_table(self._field, key, self.dtype)
+        # row u of every multiplier's block; np.dot takes k = 1 as a scalar product
+        below, Lr = F[1:], L[rk : rk + k, rk + k :]
+        for u in range(k):
+            Lr[u] = _reduce(np.dot(below, table[u]), p).ravel()
         self.rank = r + 1
 
     def add_columns(self, cols: np.ndarray) -> int:
-        """Feed the columns of an integer (rows, c) matrix of digits in
-        [0, p), cast unreduced: ``_regular_columns`` only copies such digits
-        out of ``_multiplication_blocks`` (a test checks every field's
-        blocks).  Returns the rank of all columns fed so far."""
+        """Feed the columns of a (rows, c) log-representation matrix,
+        ZERO = -1 allowed.  Returns the rank of all columns fed so far."""
         if self.rank == self._perm.size or cols.shape[1] == 0:
             return self.rank
-        W = cols[self._perm].astype(self.dtype)
+        # gathered first, reading cols in place; (rows, c, k) digits to k rows a row
+        W = self._digits[cols][self._perm].view(self._digit_dtype).transpose(0, 2, 1)
+        W = W.reshape(-1, cols.shape[1]).astype(self.dtype)
         self._eliminate(W, 0, W.shape[1], self._update(W, 0, self.rank, 0))
         return self.rank
 
 
-def _multiplication_blocks(field: Field) -> np.ndarray:
-    """Regular representation of GF(q) over GF(p) as a (q, k, k) table.
-
-    Entry e is the matrix of multiplication by g**e in the basis 1, g,
-    ..., g**(k-1): its column j holds the base-p digits of g**(e+j).
-    The last entry is the zero matrix, which is where the index ZERO = -1
-    lands.  Digits are stored in the smallest signed dtype that holds p.
-    """
-    qm1, p, k = field.q - 1, field.p, field.k
-    shifted = field.exp_array[(np.arange(qm1)[:, None] + np.arange(k)) % qm1]
-    blocks = np.zeros((qm1 + 1, k, k), dtype=np.min_scalar_type(-p))
-    blocks[:qm1] = shifted[:, None, :] // p ** np.arange(k)[:, None] % p
-    return blocks
-
-
-def _regular_columns(cols: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """GF(p) image of an (m, n) log-representation matrix under the
-    regular representation, transposed: entry (i, j) becomes the k x k
-    block blocks[cols[i, j]], laid out as an (n*k, m*k) matrix so that
-    the rows of ``cols`` arrive as columns."""
-    m, n = cols.shape
-    k = blocks.shape[1]
-    return blocks[cols].transpose(1, 3, 0, 2).reshape(n * k, m * k)
-
-
-def _rank_over_q(echelon: _PrimeEchelon, k: int) -> int:
-    if echelon.rank % k:
-        raise ConsistencyError(
-            f"GF({echelon.p}) rank {echelon.rank} of the regular representation "
-            f"is not a multiple of {k}"
-        )
-    return echelon.rank // k
-
-
 def gf_rank(cols: np.ndarray, field: Field) -> int:
     """Rank over GF(q) of a log-representation matrix (ZERO entries
-    allowed as -1).
-
-    Each entry becomes its k x k multiplication block over GF(p).  That
-    map is an injective ring homomorphism, so it carries a rank-r
-    factorisation over GF(q) to one of rank k*r over GF(p).
-    """
+    allowed as -1), fed transposed so that its rows arrive as columns."""
     cols = np.asarray(cols)
     if cols.size == 0:
         return 0
     m, n = cols.shape
-    k = field.k
-    echelon = _PrimeEchelon(n * k, field.p, capacity=min(m, n) * k)
-    echelon.add_columns(_regular_columns(cols, _multiplication_blocks(field)))
-    return _rank_over_q(echelon, k)
+    return _Echelon(n, field, capacity=min(m, n)).add_columns(cols.T)
 
 
 # -- Hilbert function and regularity -------------------------------------
@@ -335,8 +340,8 @@ class HilbertProfile:
 
 def _check_echelon(size: int, distinct: int, k: int, limit: int) -> None:
     """The matrix cap of the rank route: refuse the echelon of `distinct`
-    rows over `size` points, a GF(p) matrix of size*k rows by distinct*k
-    columns, if its cell count exceeds `limit`."""
+    rows over `size` points, whose multipliers fill size*k by distinct*k
+    cells over GF(p), if that count exceeds `limit`."""
     cells = size * k * distinct * k
     if cells > limit:
         raise TooLargeError(f"rank echelon has {cells} cells, cap is {limit}")
@@ -381,9 +386,8 @@ def _hilbert_levels(ps: PointSet, field: Field):
 
     Degree d's candidates are the rows new at degree d-1 shifted by each
     point column j >= 2, mod q-1, one column at a time.  Those not seen
-    at a lower degree are the next frontier; they enter one
-    `_PrimeEchelon` as new columns of the transposed regular
-    representation.  Before degree d >= 1 is built, the echelon it can
+    at a lower degree are the next frontier; they enter one `_Echelon`
+    as new columns.  Before degree d >= 1 is built, the echelon it can
     fill, at most min(|X|, |seen| + (s-1)|frontier|) distinct rows, is
     checked against the matrix cap.  H must rise strictly at every
     degree up to |X| and never pass it; once it reaches |X| it stays
@@ -397,8 +401,7 @@ def _hilbert_levels(ps: PointSet, field: Field):
     size, qm1, k = ps.size, field.q - 1, field.k
     # every degree that passes the cap leaves at most this many distinct rows
     distinct = min(size, max(1, limit // (size * k * k)))
-    echelon = _PrimeEchelon(size * k, field.p, capacity=distinct * k)
-    blocks = _multiplication_blocks(field)
+    echelon = _Echelon(size, field, capacity=distinct)
     # logs are below q-1, so the sum of two never overflows this dtype
     P = ps.points.astype(np.min_scalar_type(2 * (qm1 - 1)))
     frontier = np.zeros((1, size), P.dtype)  # the row of the monomial 1
@@ -411,8 +414,7 @@ def _hilbert_levels(ps: PointSet, field: Field):
                 _check_echelon(size, min(size, bound), k, limit)
             shifts = (_shift(frontier, P[:, j], qm1) for j in range(1, ps.s)) if d else [frontier]
             frontier = np.vstack([_unique_rows(E, seen) for E in shifts])
-            echelon.add_columns(_regular_columns(frontier, blocks))
-            prev, h = h, _rank_over_q(echelon, k)
+            prev, h = h, echelon.add_columns(frontier.T)
             _check_distinct(h, len(seen))
             if not prev < h <= size:
                 raise ConsistencyError(

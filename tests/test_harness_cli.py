@@ -233,7 +233,7 @@ def test_verify_jobs_checked_and_bounded(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     entries = [
         CatalogEntry("cycle(4)", parse_graph_spec("cycle(4)").graph, "cycle", (4,)),
@@ -259,6 +259,45 @@ def test_verify_jobs_checked_and_bounded(capsys, monkeypatch):
         assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
         assert captured.out == ""
     assert started == []
+
+
+def test_verify_json_round_trips(capsys, tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"spec": "cycle(4)"}, {"spec": "path(2)", "q": [4]}]))
+    assert main(["verify", "--catalog", str(catalog), "--q", "3", "--json"]) == 0
+    reports = parse_reports_json(capsys.readouterr().out)
+    assert [(r.spec, r.q, r.rank, r.sieve, r.agree) for r in reports] == [
+        ("cycle(4)", 3, 1, 1, True),
+        ("path(2)", 4, 2, 2, True),
+    ]
+
+
+def test_verify_prints_bound_failures(capsys, monkeypatch, tmp_path):
+    from toricreg.formulas import BoundRow
+
+    failed = BoundRow("pendant", 3, 2, "<=", False, "forced")
+    # one witness whose one row fails
+    monkeypatch.setattr("toricreg.harness.auto_witnesses", lambda *args: [None])
+    monkeypatch.setattr("toricreg.harness.verify_bounds", lambda *args: [failed])
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"spec": "path(2)"}]))
+    assert main(["verify", "--catalog", str(catalog), "--q", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "1 instance checks, 1 bound rows, 0 mismatches, 1 bound failures"
+    assert lines[-1] == "BOUND FAIL path(2) q=3: pendant 3 <= 2 (forced)"
+
+
+def test_verify_records_an_error_as_a_report(monkeypatch):
+    def broken(entry, q, with_bounds=True):
+        raise RuntimeError("lost a point")
+
+    monkeypatch.setattr("toricreg.harness.evaluate_entry", broken)
+    entry = parse_graph_spec("cycle(4)")
+    result = verify_suite([entry], q_list=(3,), jobs=1)
+    assert not result.ok and result.bound_rows == []
+    (report,) = result.reports
+    assert (report.spec, report.q, report.rank, report.agree) == ("cycle(4)", 3, NOT_RUN, False)
+    assert report.formula_rule == "error" and report.note == "error: lost a point"
 
 
 def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
@@ -445,6 +484,9 @@ def test_cli_reg_single_methods(capsys, monkeypatch, tmp_path):
 def test_cli_degree(capsys):
     assert main(["degree", "cycle(3)", "-q", "5", "--enumerate"]) == 0
     assert "formula 16, enumerated 16" in capsys.readouterr().out
+    # without --enumerate only the formula is printed
+    assert main(["degree", "cycle(3)", "-q", "5"]) == 0
+    assert capsys.readouterr().out == "16\n"
 
 
 def test_cli_member(capsys):
@@ -462,6 +504,22 @@ def test_cli_member(capsys):
     assert capsys.readouterr().out.strip() == "IN I(X)"
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--monomial", "1,x", "--mod-edge", "1"], "bad exponent list '1,x'"),
+        (["--monomial", "1,1", "--binomial", "2,-1"], "exponents must be nonnegative"),
+        (["--monomial", "1,1", "--mod-edge", "0"], "edge index must be in 1..2"),
+        (["--monomial", "1,1", "--mod-edge", "3"], "edge index must be in 1..2"),
+    ],
+)
+def test_cli_member_rejects_bad_input(capsys, flags, error):
+    assert main(["member", "path(2)", "-q", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+
+
 def test_cli_hilbert(capsys, monkeypatch):
     assert main(["hilbert", "cycle(4)", "-q", "3"]) == 0
     out = capsys.readouterr().out
@@ -471,6 +529,13 @@ def test_cli_hilbert(capsys, monkeypatch):
     assert main(["hilbert", "cycle(4)", "-q", "3", "--max-degree", "15"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-2:] == ["H(15) = 4", "regularity: 1  (degree 4)"]
+    # stopping below the regularity says so
+    assert main(["hilbert", "cycle(3)", "-q", "3", "--max-degree", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "H(0) = 1",
+        "H(1) = 3",
+        "regularity not reached by degree 1 (degree 4)",
+    ]
     # a degree before saturation is refused by the echelon it could fill:
     # |X| times |seen| + (s-1)|frontier| distinct rows, 64 * (8 + 7 * 7)
     assert main(["hilbert", "cycle(8)", "-q", "3", "--max-degree", "15"]) == 2

@@ -8,9 +8,10 @@ from toricreg.errors import ConsistencyError, TooLargeError
 from toricreg.field import Field, ZERO
 from toricreg.graph import cycle_graph, parallel_composition, path_graph, simplify
 from toricreg.hilbert import (
-    _PrimeEchelon,
+    _Echelon,
+    _digit_table,
     _hilbert_levels,
-    _multiplication_blocks,
+    _multiplier_table,
     _reduce,
     _row_order,
     _shift,
@@ -68,9 +69,15 @@ def test_profiles():
     assert prof.strictly_increasing_then_constant()
 
 
-def _rank_p(mat, p, block=256):
-    mat = np.asarray(mat)
-    return _PrimeEchelon(mat.shape[0], p, block=block).add_columns(mat)
+def _logs(mat, field):
+    """Log representation of a matrix of residues mod a prime field's p."""
+    return np.array(field.log_table)[np.asarray(mat)]
+
+
+def _rank_p(mat, field, block=256):
+    """Rank of a matrix of residues over the prime field, from one echelon."""
+    logs = _logs(mat, field)
+    return _Echelon(logs.shape[0], field, block=block).add_columns(logs)
 
 
 def _random_log_matrix(rng, q, m, n, density=0.85):
@@ -111,11 +118,8 @@ def test_rank_paths_agree_with_reference(q):
         expected = rank_reference(mat, field)
         arr = np.array(mat, dtype=np.int64)
         assert gf_rank(arr, field) == expected
-        if field.k == 1:
-            idx = np.where(arr < 0, 0, arr)
-            vals = field.exp_array[idx]
-            vals[arr < 0] = 0
-            assert _rank_p(vals, field.p) == expected
+        # the echelon itself, fed the matrix untransposed
+        assert _Echelon(m, field).add_columns(arr) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 251])
@@ -126,11 +130,10 @@ def test_blocked_rank_crosses_block_boundaries(p):
     b = rng.integers(0, p, size=(7, 90))
     mat = (a @ b) % p
     field = Field(p)
-    logs = [[field.from_int(int(x) % p) for x in row] for row in mat]
-    expected = rank_reference(logs, field)
-    assert _rank_p(mat, p, block=16) == expected
-    assert _rank_p(mat, p, block=4) == expected
-    assert _rank_p(mat, p) == expected
+    expected = rank_reference(_logs(mat, field).tolist(), field)
+    assert _rank_p(mat, field, block=16) == expected
+    assert _rank_p(mat, field, block=4) == expected
+    assert _rank_p(mat, field) == expected
 
 
 def _product(field, a, b):
@@ -151,27 +154,72 @@ def _product(field, a, b):
 def test_extension_rank_crosses_block_boundaries(q):
     field = Field(q)
     rng = random.Random(q)
-    # rank <= 6 with dependencies that are field sums, and k*n > 256 so
-    # the regular representation spans more than one column block
+    # rank <= 6 with dependencies that are field sums; a block of two
+    # pivots makes the echelon cross block boundaries
     a = _random_log_matrix(rng, q, 30, 6)
     b = _random_log_matrix(rng, q, 6, 140)
     mat = _product(field, a, b)
-    assert field.k * len(mat[0]) > 256
     expected = rank_reference(mat, field)
-    assert gf_rank(np.array(mat, dtype=np.int64), field) == expected
+    assert expected > 2
+    arr = np.array(mat, dtype=np.int64)
+    assert gf_rank(arr, field) == expected
+    assert _Echelon(140, field, block=2).add_columns(arr.T) == expected
+
+
+@pytest.mark.parametrize("q, block, rank", [(121, 4, 50), (251 * 251, 1, 143)])
+def test_extension_rank_with_large_p(q, block, rank):
+    """Extension fields with p above 7, ranked by `gf_rank` and by an
+    echelon of `block` pivots fed in batches cut at random.  A digit
+    product at p = 251 is up to 250**2, past 16 bits.  At q = 251**2 a
+    block of one pivot is float32 with room for 268 products, 134
+    pivots of k = 2, so the delayed reduction runs.  The rows are scaled
+    copies of a basis, which the reference eliminates fast."""
+    field = Field(q)
+    rng = random.Random(q)
+    m = n = rank + 7
+    basis = _random_log_matrix(rng, q, rank, n)
+    mat = basis + _scaled_combination_rows(rng, field, basis, m - rank)
+    rng.shuffle(mat)
+    expected = rank_reference(mat, field)
+    arr = np.array(mat, dtype=np.int64)
+    assert gf_rank(arr, field) == expected
+    echelon = _Echelon(n, field, block=block)  # rows arrive as columns
+    if field.p == 251:
+        assert echelon.dtype == np.float32 and echelon._room == 268
+        assert expected * field.k > echelon._room
+    cuts = sorted(rng.sample(range(1, m), 5))
+    for lo, hi in zip([0] + cuts, cuts + [m]):
+        assert echelon.add_columns(arr[lo:hi].T) == gf_rank(arr[:hi], field), (lo, hi)
+    assert echelon.rank == expected
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_multiplication_blocks_hold_digits_below_p(q):
-    """`_PrimeEchelon.add_columns` casts the fed digits without reducing
-    them mod p, so every block entry must already lie in [0, p); the
-    last block, where ZERO = -1 lands, is the zero matrix."""
+    """`_Echelon.add_columns` casts the looked-up digits without reducing
+    them mod p, so every digit must already lie in [0, p); the last row
+    of the digit table, where ZERO = -1 lands, is zero, and every other
+    row packs to the element it stands for.  The multiplier table of a
+    pivot, built from those digits, holds the digits of g**(a+u) / pivot
+    at (u, a), g = x the root of the field's polynomial."""
     field = Field(q)
-    blocks = _multiplication_blocks(field)
-    assert blocks.shape == (q, field.k, field.k)
-    assert blocks.min() >= 0 and blocks.max() < field.p
-    assert not blocks[-1].any()
-    assert blocks[:-1].any(axis=(1, 2)).all()
+    p, k = field.p, field.k
+    digits = _digit_table(field)
+    assert digits.shape == (q, k)
+    assert digits.min() >= 0 and digits.max() < p
+    assert not digits[-1].any()
+    assert digits[:-1].any(axis=1).all()
+    place = p ** np.arange(k)
+    assert np.array_equal(digits[:-1].astype(np.int64) @ place, field.exp_array)
+    for pivot in range(1, q):
+        key = digits[field.log_table[pivot]].astype(np.float64).tobytes()
+        table = _multiplier_table(field, key, np.float64)
+        assert table.shape == (k, k, k)
+        assert table.min() >= 0 and table.max() < p
+        inverse = field.inv(field.from_int(pivot))
+        for u in range(k):
+            for a in range(k):
+                expected = field.to_int(field.mul((a + u) % (q - 1), inverse))
+                assert int(table[u, a] @ place) == expected, (pivot, u, a)
 
 
 def test_blocked_rank_full_rank_square():
@@ -179,9 +227,8 @@ def test_blocked_rank_full_rank_square():
     rng = np.random.default_rng(42)
     mat = rng.integers(0, p, size=(50, 50))
     field = Field(p)
-    logs = [[field.from_int(int(x) % p) for x in row] for row in mat]
-    expected = rank_reference(logs, field)
-    assert _rank_p(mat, p, block=8) == expected
+    expected = rank_reference(_logs(mat, field).tolist(), field)
+    assert _rank_p(mat, field, block=8) == expected
 
 
 def _low_rank(rng, p, m, n, r, zero_cols=0):
@@ -211,14 +258,14 @@ def test_echelon_batches_match_one_shot(p, block):
     ]
     for mat in cases:
         m, n = mat.shape
-        logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
-        assert _rank_p(mat, p, block) == rank_reference(logs, field)
+        logs = _logs(mat, field)
+        assert _rank_p(mat, field, block) == rank_reference(logs.T.tolist(), field)
         cuts = sorted(rng.choice(np.arange(1, n), size=min(6, n - 1), replace=False))
-        echelon = _PrimeEchelon(m, p, block=block)
+        echelon = _Echelon(m, field, block=block)
         for lo, hi in zip([0] + cuts, cuts + [n]):
-            got = echelon.add_columns(mat[:, lo:hi])
-            assert got == _rank_p(mat[:, :hi], p, block), (lo, hi)
-        assert echelon.rank == _rank_p(mat, p, block)
+            got = echelon.add_columns(logs[:, lo:hi])
+            assert got == _rank_p(mat[:, :hi], field, block), (lo, hi)
+        assert echelon.rank == _rank_p(mat, field, block)
 
 
 def test_echelon_reduces_before_a_panel_overflows():
@@ -240,12 +287,12 @@ def test_echelon_reduces_before_a_panel_overflows():
         ]
     )
     field = Field(p)
-    logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
-    echelon = _PrimeEchelon(4, p, block=2)
+    logs = _logs(mat, field)
+    echelon = _Echelon(4, field, block=2)
     assert echelon.dtype == np.float32
-    fed = mat[np.argsort(echelon._perm)]
+    fed = logs[np.argsort(echelon._perm)]
     echelon.add_columns(fed[:, :2])
-    assert echelon.add_columns(fed[:, 2:]) == rank_reference(logs, field) == 3
+    assert echelon.add_columns(fed[:, 2:]) == rank_reference(logs.T.tolist(), field) == 3
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2039, 2897, 4093])
@@ -286,12 +333,12 @@ def test_zero_diagonal_ranks_like_the_reference():
         for m, n, r in ((24, 24, 24), (30, 40, 9), (40, 18, 18)):
             mat = _low_rank(rng, p, m, n, r)
             mat[np.arange(min(m, n)), np.arange(min(m, n))] = 0
-            logs = [[field.from_int(int(x)) for x in col] for col in mat.T]
-            expected = rank_reference(logs, field)
-            assert _rank_p(mat, p) == expected
-            echelon = _PrimeEchelon(m, p, block=4)
+            logs = _logs(mat, field)
+            expected = rank_reference(logs.T.tolist(), field)
+            assert _rank_p(mat, field) == expected
+            echelon = _Echelon(m, field, block=4)
             for lo in range(0, n, 5):
-                echelon.add_columns(mat[:, lo : lo + 5])
+                echelon.add_columns(logs[:, lo : lo + 5])
             assert echelon.rank == expected, (p, m, n)
 
 
@@ -300,7 +347,7 @@ def test_row_order_is_a_fixed_permutation():
         order = _row_order(rows)
         assert np.array_equal(np.sort(order), np.arange(rows))
         assert np.array_equal(_row_order(rows), order)
-        assert np.array_equal(_PrimeEchelon(rows, 5)._perm, order)
+        assert np.array_equal(_Echelon(rows, Field(5))._perm, order)
     mask = (1 << 64) - 1
 
     def splitmix64(x):
@@ -360,7 +407,7 @@ def test_rank_cap_counts_the_saturated_echelon(monkeypatch, g, q):
         raise AssertionError("work started before the cap was checked")
 
     monkeypatch.setattr(hilbert, "enumerate_points", forbidden)
-    monkeypatch.setattr(hilbert, "_PrimeEchelon", forbidden)
+    monkeypatch.setattr(hilbert, "_Echelon", forbidden)
     monkeypatch.setenv("TORICREG_MAX_STATES", str(cells - 1))
     with pytest.raises(TooLargeError, match=f"rank echelon has {cells} cells"):
         regularity_rank(g, q)
