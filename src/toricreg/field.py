@@ -7,14 +7,26 @@ Zech-table lookup: g**a + g**b = g**a * (1 + g**(b-a)).  This is the
 right trade for Gaussian elimination, where every matrix entry is a
 power of g.
 
-Construction is deterministic: the field is built from the
-lexicographically smallest primitive polynomial (ordered by the
-coefficient tuple (c_{k-1}, ..., c_0) of the monic candidate
-x**k + c_{k-1} x**{k-1} + ... + c_0), so tables are reproducible
-bit for bit.
+GF(q), q = p**k, is GF(p)[x]/(f) with g = x, for the first monic f of
+degree k, in the order of the coefficient tuple (c_{k-1}, ..., c_0) of
+x**k + c_{k-1} x**{k-1} + ... + c_0, whose root generates GF(q)*, so the
+tables are reproducible bit for bit.  A candidate is taken when its
+matrix C of multiplication by x over GF(p) has order exactly q-1:
+C**(q-1) = I and C**((q-1)/r) != I for every prime r dividing q-1.  If f
+were reducible, GF(p)[x]/(f) would have fewer than q-1 units and no unit
+of order q-1, so no irreducibility test is needed (Lidl-Niederreiter,
+Finite Fields, ch. 3).
+
+``_tables`` builds the tables of a q once per process, and every
+Field(q) shares them: the exp, log and Zech tuples, from the digits of
+x**0, ..., x**(q-2) found by doubling, and ``digits``, the read-only
+(q, k) table of the base-p digits of every element, constant term
+first, whose last row, where the index ZERO = -1 lands, is zero.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,6 +42,18 @@ TABLE_CAP = 1 << 16
 FieldElem = int
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, in increasing order."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
 def prime_power(q):
     """Return (p, k) with q == p**k for a field within the table cap.
 
@@ -41,80 +65,76 @@ def prime_power(q):
         raise OverflowError(
             f"field cardinality {q} exceeds the table cap {TABLE_CAP}"
         )
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise NotPrimePowerError(f"{q} is not a prime power")
-    m = q
-    p = None
-    for cand in range(2, m + 1):
-        if cand * cand > m:
-            p = m  # remaining part is prime
-            break
-        if m % cand == 0:
-            p = cand
-            break
-    k = 0
-    while m % p == 0:
-        m //= p
+    p, k = primes[0], 1
+    while p**k < q:
         k += 1
-    if m != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
     return p, k
 
 
-def _digits(value, p, k):
-    """Base-p digits of a packed element, constant term first."""
-    out = []
-    for _ in range(k):
-        out.append(value % p)
-        value //= p
+def _mat_pow(C, e, p):
+    """C**e over GF(p) by repeated squaring, in int64."""
+    out = np.eye(len(C), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ C % p
+        C = C @ C % p
+        e >>= 1
     return out
 
 
-def _pack(coeffs, p):
-    value = 0
-    for c in reversed(coeffs):
-        value = value * p + c
-    return value
+def _generates(C, q, p):
+    """True if C has order exactly q-1 over GF(p)."""
+    eye = np.eye(len(C), dtype=np.int64)
+    return np.array_equal(_mat_pow(C, q - 1, p), eye) and not any(
+        np.array_equal(_mat_pow(C, (q - 1) // r, p), eye) for r in _prime_factors(q - 1)
+    )
 
 
-def _poly_divisible(num, den, p):
-    """True if the monic polynomial den divides num over GF(p)."""
-    rem = list(num)
-    dd = len(den) - 1
-    while len(rem) - 1 >= dd:
-        lead = rem[-1] % p
-        if lead:
-            shift = len(rem) - 1 - dd
-            for i, c in enumerate(den):
-                rem[shift + i] = (rem[shift + i] - lead * c) % p
-        rem.pop()
-    return all(c % p == 0 for c in rem)
-
-
-def _monic_irreducibles(p, max_deg):
-    """Monic irreducible polynomials over GF(p) of degree 1..max_deg."""
-    by_degree = {}
-    for d in range(1, max_deg + 1):
-        found = []
-        for code in range(p**d):
-            poly = _digits(code, p, d) + [1]
-            if any(
-                _poly_divisible(poly, f, p)
-                for e in range(1, d // 2 + 1)
-                for f in by_degree[e]
-            ):
-                continue
-            found.append(poly)
-        by_degree[d] = found
-    return by_degree
+@functools.cache
+def _tables(q):
+    """The primitive polynomial, the exp, log and Zech tables and the digit
+    table of GF(q), built once per q and shared by every Field(q)."""
+    p, k = prime_power(q)
+    place = p ** np.arange(k)
+    # row j of C holds the digits of x**(j+1); the last row, x**k, is set
+    # from each candidate's coefficients c_0, ..., c_{k-1}
+    C = np.eye(k, k, 1, dtype=np.int64)
+    for code in range(q):
+        coeffs = code // place % p
+        C[-1] = -coeffs % p
+        if _generates(C, q, p):
+            break
+    # digits of x**0, ..., x**(q-2): rows n..2n-1 are rows 0..n-1 times C**n
+    powers = np.zeros((q - 1, k), np.int64)
+    powers[0, 0] = 1
+    n = 1
+    while n < q - 1:
+        m = min(n, q - 1 - n)
+        powers[n : n + m] = powers[:m] @ C % p
+        C = C @ C % p
+        n *= 2
+    exp = powers @ place
+    log = np.full(q, ZERO, np.int64)
+    log[exp] = np.arange(q - 1)
+    # 1 + g**i adds one to the constant digit; a sum of 0 reads log[0] = ZERO
+    zech = log[exp - powers[:, 0] + (powers[:, 0] + 1) % p]
+    digits = np.zeros((q, k), np.min_scalar_type(-p))
+    digits[:-1] = powers
+    digits.flags.writeable = False
+    poly = (*coeffs.tolist(), 1)
+    return poly, tuple(exp.tolist()), tuple(log.tolist()), tuple(zech.tolist()), digits
 
 
 class Field:
-    """GF(q) with Zech-table addition.  Immutable after construction."""
+    """GF(q) with Zech-table addition.  Immutable after construction; every
+    Field(q) shares the tables of its q."""
 
     __slots__ = (
         "q", "p", "k", "primitive_poly", "zech_table",
-        "exp_table", "log_table", "_neg_log", "_exp_arr",
+        "exp_table", "log_table", "digits", "_neg_log",
     )
 
     def __init__(self, q: int):
@@ -122,64 +142,11 @@ class Field:
         self.q = q
         self.p = p
         self.k = k
-        poly, exp_table = self._find_primitive_poly(p, k, q)
-        self.primitive_poly = tuple(poly)
-        self.exp_table = tuple(exp_table)
-        log_table = [ZERO] * q
-        for i, v in enumerate(exp_table):
-            log_table[v] = i
-        self.log_table = tuple(log_table)
-        zech = []
-        for i in range(q - 1):
-            s = self.add_ints(1, exp_table[i])
-            zech.append(ZERO if s == 0 else log_table[s])
-        self.zech_table = tuple(zech)
+        (self.primitive_poly, self.exp_table, self.log_table,
+         self.zech_table, self.digits) = _tables(q)
         # log of -1: in characteristic 2 this is 1 = g**0, otherwise the
         # unique element of multiplicative order 2.
         self._neg_log = 0 if p == 2 else (q - 1) // 2
-        self._exp_arr = None
-
-    @staticmethod
-    def _find_primitive_poly(p, k, q):
-        """Smallest monic degree-k polynomial whose root generates GF(q)*.
-
-        Irreducibility by trial division against lower-degree monic
-        irreducibles, primitivity by checking the root has order q-1.
-        """
-        irreducibles = _monic_irreducibles(p, k // 2) if k > 1 else {}
-        for code in range(q):
-            coeffs = _digits(code, p, k)
-            poly = coeffs + [1]
-            if k > 1 and any(
-                _poly_divisible(poly, f, p)
-                for e in range(1, k // 2 + 1)
-                for f in irreducibles[e]
-            ):
-                continue
-            exp_table = Field._build_exp_table(poly, p, k, q)
-            if exp_table is not None:
-                return poly, exp_table
-        raise AssertionError(f"no primitive polynomial found for q={q}")
-
-    @staticmethod
-    def _build_exp_table(poly, p, k, q):
-        """Powers of the root x modulo poly, or None if x is not primitive."""
-        one = [1] + [0] * (k - 1)
-        state = list(one)
-        table = []
-        for i in range(q - 1):
-            table.append(_pack(state, p))
-            # multiply by x and reduce by the monic poly
-            lead = state[-1]
-            state = [0] + state[:-1]
-            if lead:
-                for j in range(k):
-                    state[j] = (state[j] - lead * poly[j]) % p
-            if state == one and i + 1 < q - 1:
-                return None  # order of x divides i+1 < q-1
-        if state != one:
-            return None
-        return table
 
     # -- conversions ---------------------------------------------------
 
@@ -253,14 +220,6 @@ class Field:
         """All elements in log representation, ZERO first."""
         yield ZERO
         yield from range(self.q - 1)
-
-    # -- numpy views used by the vectorised linear algebra ---------------
-
-    @property
-    def exp_array(self) -> np.ndarray:
-        if self._exp_arr is None:
-            self._exp_arr = np.array(self.exp_table, dtype=np.int64)
-        return self._exp_arr
 
     def __repr__(self):
         return f"Field(q={self.q})"

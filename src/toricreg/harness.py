@@ -85,25 +85,24 @@ def parse_graph_spec(text: str) -> CatalogEntry:
         return CatalogEntry(text, g, "graph")
     m = re.fullmatch(r"([a-z_]+)\((.*)\)", text)
     if not m:
-        pos = next(
-            (i for i, ch in enumerate(text) if not (ch.isalnum() or ch in "_(),")),
-            len(text),
-        )
+        # the end of the longest prefix that starts some `name(args)`, args without ')'
+        pos = re.match(r"(?:[a-z_]+(?:\([^)]*\)?)?)?", text).end()
         raise ParseError(f"cannot parse {text!r} (unexpected input at position {pos})")
     name, arg_text = m.group(1), m.group(2)
     if name not in FAMILIES:
         raise ParseError(f"unknown constructor {name!r} at position 0")
     params = []
-    for tok in arg_text.split(","):
-        tok = tok.strip()
+    pos = m.start(2)
+    for raw in arg_text.split(","):
+        tok = raw.strip()
+        at = pos + len(raw) - len(raw.lstrip())
+        pos += len(raw) + 1
         if not tok:
-            raise ParseError(f"empty argument in {text!r} at position {len(name) + 1}")
+            raise ParseError(f"empty argument in {text!r} at position {at}")
         try:
             params.append(int(tok))
         except ValueError:
-            raise ParseError(
-                f"bad integer {tok!r} at position {text.index(tok)}"
-            ) from None
+            raise ParseError(f"bad integer {tok!r} at position {at}") from None
     return CatalogEntry(text, family(name, params), name, tuple(params))
 
 

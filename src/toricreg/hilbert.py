@@ -15,9 +15,10 @@ Two elimination routines compute ranks:
   in pure Python, so only usable for small matrices.  The tests
   cross-check the production path against it.
 * ``_Echelon`` -- recursive elimination over GF(q), q = p**k, on the
-  base-p digits of the entries: each span of columns is halved, and the
-  pivots of the left half reach the right half through one float matmul
-  over GF(p) with delayed reduction.  It is resumable: columns may
+  base-p digits of the entries, read from the field's digit table
+  ``Field.digits``: each span of columns is halved, and the pivots of
+  the left half reach the right half through one float matmul over
+  GF(p) with delayed reduction.  It is resumable: columns may
   arrive in batches, and each batch is brought up to date with the
   pivots already found by the same update, from the stored row
   permutation and multipliers.  ``gf_rank`` ranks one matrix with it.
@@ -157,18 +158,6 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return r - np.floor(r * pinv) * p
 
 
-@functools.cache
-def _digit_table(field: Field) -> np.ndarray:
-    """Base-p digits of every element of GF(q) as a (q, k) table: row e
-    holds those of g**e, constant term first, and the last row, where the
-    index ZERO = -1 lands, is zero.  Digits are stored in the smallest
-    signed dtype that holds p."""
-    p, k = field.p, field.k
-    digits = np.zeros((field.q, k), dtype=np.min_scalar_type(-p))
-    digits[:-1] = field.exp_array[:, None] // p ** np.arange(k) % p
-    return digits
-
-
 @functools.lru_cache(maxsize=1024)
 def _multiplier_table(field: Field, pivot: bytes, dtype) -> np.ndarray:
     """The (k, k, k) table whose entry (u, a, v) is digit v of g**(a+u) /
@@ -178,7 +167,7 @@ def _multiplier_table(field: Field, pivot: bytes, dtype) -> np.ndarray:
     k = field.k
     e = field.log_table[int(np.frombuffer(pivot, dtype) @ field.p ** np.arange(k))]
     shifts = np.add.outer(np.arange(k), np.arange(k)) - e
-    return _digit_table(field)[shifts % (field.q - 1)].astype(dtype)
+    return field.digits[shifts % (field.q - 1)].astype(dtype)
 
 
 class _Echelon:
@@ -187,10 +176,10 @@ class _Echelon:
     rank of every column fed so far.
 
     Each entry is held as its k base-p digits (in the basis 1, g, ...,
-    g**(k-1)), so the work matrix has k rows per matrix row, and
-    subtracting m times a row multiplies its k digit rows by the k x k
-    matrix over GF(p) of multiplication by m: all arithmetic is over
-    GF(p), and each pivot spans k work rows.
+    g**(k-1)), gathered from ``Field.digits``, so the work matrix has k
+    rows per matrix row, and subtracting m times a row multiplies its k
+    digit rows by the k x k matrix over GF(p) of multiplication by m: all
+    arithmetic is over GF(p), and each pivot spans k work rows.
 
     Recursive LU with row pivoting, as in Dumas-Pernet-Sultan (ISSAC
     2013): a span of columns is split in two, the left half is
@@ -233,11 +222,9 @@ class _Echelon:
         self._room = ((1 << bits) - p) // (p - 1) ** 2
         self._perm = _row_order(rows)
         self._field = field
-        digits = _digit_table(field)
         # each element's k digits as one item, so that a gather copies items
-        self._digits = digits.view(np.dtype((np.void, digits.itemsize * k)))
-        self._digit_dtype = digits.dtype
-        self._tables = {}  # pivot digits, as bytes -> its _multiplier_table
+        self._digits = field.digits.view(np.dtype((np.void, field.digits.itemsize * k)))
+        self._digit_dtype = field.digits.dtype
         self._lt = np.empty(((rows if capacity is None else capacity) * k, rows * k), self.dtype)
 
     def _update(self, W, a, b, acc):
@@ -285,10 +272,7 @@ class _Echelon:
             L[:rk, rows] = L[:rk, swapped]
             self._perm[[r, r + i]] = self._perm[[r + i, r]]
             F[[0, i]] = F[[i, 0]]
-        key = F[0].tobytes()
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = _multiplier_table(self._field, key, self.dtype)
+        table = _multiplier_table(self._field, F[0].tobytes(), self.dtype)
         # row u of every multiplier's block; np.dot takes k = 1 as a scalar product
         below, Lr = F[1:], L[rk : rk + k, rk + k :]
         for u in range(k):

@@ -1,5 +1,8 @@
+import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toricreg.errors import NotPrimePowerError
@@ -31,6 +34,40 @@ def test_gf4_tables():
 def test_gf8_gf9_primitive_polys():
     assert Field(8).primitive_poly == (1, 1, 0, 1)  # x^3 + x + 1
     assert Field(9).primitive_poly == (2, 1, 1)  # x^2 + x + 2
+
+
+# primitive_poly of every prime below 1000 and every extension field up to
+# 4096, saved from a search that derived them independently: trial division
+# by lower-degree irreducibles, then a walk over the powers of x
+SAVED_POLYS = {
+    int(q): tuple(poly)
+    for q, poly in json.loads(Path(__file__).with_name("primitive_polys.json").read_text()).items()
+}
+
+
+def test_primitive_polys_match_the_saved_table():
+    assert {q: Field(q).primitive_poly for q in SAVED_POLYS} == SAVED_POLYS
+
+
+def test_tables_are_consistent_on_the_saved_fields():
+    """exp is a permutation of 1..q-1, log inverts it, and each element's
+    digits, constant term first, pack to its exp value."""
+    for q in SAVED_POLYS:
+        f = Field(q)
+        exp, log = np.array(f.exp_table), np.array(f.log_table)
+        assert sorted(f.exp_table) == list(range(1, q)), q
+        assert log[0] == ZERO and np.array_equal(log[exp], np.arange(q - 1)), q
+        place = f.p ** np.arange(f.k)
+        assert np.array_equal(f.digits[:-1].astype(np.int64) @ place, exp), q
+
+
+def test_tables_are_shared_and_read_only():
+    a, b = Field(9), Field(9)
+    for name in ("primitive_poly", "exp_table", "log_table", "zech_table", "digits"):
+        assert getattr(a, name) is getattr(b, name), name
+    assert not a.digits.flags.writeable
+    with pytest.raises(ValueError):
+        a.digits[0, 0] = 1
 
 
 def test_not_prime_power():

@@ -57,6 +57,24 @@ def test_parse_errors():
         parse_graph_spec("cycle(4")
 
 
+@pytest.mark.parametrize(
+    "spec, pos",
+    [
+        ("PATH(2)", 0),
+        ("path2(3)", 4),
+        ("path(2)x", 7),
+        ("cycle(4", 7),
+        ("path(p)", 5),
+        ("parallel(2,a)", 11),
+        ("parallel(2, a)", 12),
+        ("cycle(3,,4)", 8),
+    ],
+)
+def test_parse_errors_name_the_first_rejected_position(spec, pos):
+    with pytest.raises(ParseError, match=rf"at position {pos}(\D|$)"):
+        parse_graph_spec(spec)
+
+
 def test_parse_file_graph(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
@@ -349,13 +367,16 @@ def test_python_m_runs_the_cli():
 
 def test_reg_leaves_numpy_random_unimported():
     """numpy imports numpy.random lazily, and importing it adds about
-    6 MB of resident memory; the rank route needs no randomness."""
+    6 MB of resident memory; the rank route needs no randomness.  Nor
+    does a single call need a process pool: `verify_suite` imports
+    concurrent.futures, which loads multiprocessing, only to run workers."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
         "from toricreg.cli import main\n"
         "assert main(['reg', 'cycle(4)', '-q', '5']) == 0\n"
-        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        "for name in ('numpy.random', 'concurrent.futures', 'multiprocessing'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -9,7 +9,6 @@ from toricreg.field import Field, ZERO
 from toricreg.graph import cycle_graph, parallel_composition, path_graph, simplify
 from toricreg.hilbert import (
     _Echelon,
-    _digit_table,
     _hilbert_levels,
     _multiplier_table,
     _reduce,
@@ -203,13 +202,13 @@ def test_multiplication_blocks_hold_digits_below_p(q):
     at (u, a), g = x the root of the field's polynomial."""
     field = Field(q)
     p, k = field.p, field.k
-    digits = _digit_table(field)
+    digits = field.digits
     assert digits.shape == (q, k)
     assert digits.min() >= 0 and digits.max() < p
     assert not digits[-1].any()
     assert digits[:-1].any(axis=1).all()
     place = p ** np.arange(k)
-    assert np.array_equal(digits[:-1].astype(np.int64) @ place, field.exp_array)
+    assert np.array_equal(digits[:-1].astype(np.int64) @ place, field.exp_table)
     for pivot in range(1, q):
         key = digits[field.log_table[pivot]].astype(np.float64).tobytes()
         table = _multiplier_table(field, key, np.float64)
