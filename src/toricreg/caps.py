@@ -9,7 +9,8 @@ block per pivot and row, so its multipliers fill |X|*k by
 (distinct rows)*k cells.  Only ``hilbert`` reads the cap on those
 cells, and it refuses before any elimination.  Both caps refuse loudly
 (TooLargeError) instead of running forever.  The environment variable
-TORICREG_MAX_STATES overrides both caps.
+TORICREG_MAX_STATES overrides both caps.  ``count_text`` writes the
+counts they refuse, which can pass Python's limit on digits in a str.
 """
 
 import os
@@ -44,3 +45,18 @@ def state_cap():
 def matrix_cap():
     """Cap on rank-echelon cells (rows times columns)."""
     return _env_cap() or DEFAULT_MATRIX_CAP
+
+
+def count_text(n: int) -> str:
+    """n in decimal; past the digits Python converts to a str (4300 by
+    default), its first five digits and its power of ten, as 1.0217e+4815."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    e = n.bit_length() * 30102 // 100000  # at most floor(log10 n)
+    lead = n // 10 ** (e - 4)
+    while lead >= 100_000:
+        lead //= 10
+        e += 1
+    return f"{lead // 10_000}.{lead % 10_000:04d}e+{e}"

@@ -82,7 +82,7 @@ def _cmd_reg(args) -> int:
         else:
             print(f"spec: {report.spec}  q={report.q}")
             print(
-                f"degree: {report.degree_formula} (formula), "
+                f"degree: {caps.count_text(report.degree_formula)} (formula), "
                 f"{report.degree_enum} (enumerated)"
             )
             print(f"rank:    {report.rank}  ({report.rank_ms:.1f} ms)")
@@ -116,7 +116,7 @@ def _cmd_degree(args) -> int:
     parsed = parse_graph_spec(args.spec)
     value = degree_formula(graph_stats(parsed.graph), args.q)
     if not args.enumerate:
-        print(value)
+        print(caps.count_text(value))
         return 0
     enum = enumerate_points(parsed.graph, args.q).size
     print(f"formula {value}, enumerated {enum}")
@@ -188,7 +188,8 @@ def _cmd_verify(args) -> int:
             status = "ok" if r.agree else "MISMATCH"
             print(
                 f"{status:8s} {r.spec} q={r.q}: rank={r.rank} sieve={r.sieve} "
-                f"formula={r.formula} degree={r.degree_formula}/{r.degree_enum}"
+                f"formula={r.formula} "
+                f"degree={caps.count_text(r.degree_formula)}/{r.degree_enum}"
             )
         bad_bounds = [t for t in result.bound_rows if not t[2].satisfied]
         print(

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import EdgeExistsError, InvalidSpecError
+from . import caps
+from .errors import EdgeExistsError, InvalidSpecError, TooLargeError
 
 
 class Multigraph:
@@ -193,15 +194,34 @@ FAMILIES = {
     "star": star_graph,
 }
 
+# the edge count s of each family from its parameters
+_EDGE_COUNTS = {
+    "path": lambda k: k,
+    "cycle": lambda k: k,
+    "complete": lambda n: n * (n - 1) // 2,
+    "biclique": lambda a, b: a * b,
+    "multipartite": lambda *sizes: (sum(sizes) ** 2 - sum(a * a for a in sizes)) // 2,
+    "parallel": lambda *lengths: sum(lengths),
+    "star": lambda leaves: leaves,
+}
+
 
 def family(kind: str, params) -> Multigraph:
     """Construct a named graph family, keyed by the spec grammar's names;
-    vertex/edge order is deterministic (see each constructor)."""
+    vertex/edge order is deterministic (see each constructor).
+
+    A family with more edges s than the state cap is refused before its
+    edge list is built: its |X|*s point cells would pass the cap at any q."""
     try:
         builder = FAMILIES[kind]
     except KeyError:
         raise InvalidSpecError(f"unknown family {kind!r}") from None
     try:
+        s, limit = _EDGE_COUNTS[kind](*params), caps.state_cap()
+        if s > limit:
+            raise TooLargeError(
+                f"{kind} has {caps.count_text(s)} edges, over the state cap {limit}"
+            )
         return builder(*params)
     except TypeError:
         raise InvalidSpecError(

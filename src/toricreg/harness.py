@@ -18,6 +18,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations_with_replacement
 
+from . import caps
 from .errors import ParseError, TooLargeError
 from .formulas import (
     BipartiteBoundWitness,
@@ -83,7 +84,7 @@ def parse_graph_spec(text: str) -> CatalogEntry:
                              "must be integers")
         g = Multigraph(n, edges)
         return CatalogEntry(text, g, "graph")
-    m = re.fullmatch(r"([a-z_]+)\((.*)\)", text)
+    m = re.fullmatch(r"([a-z_]+)\(([^)]*)\)", text)
     if not m:
         # the end of the longest prefix that starts some `name(args)`, args without ')'
         pos = re.match(r"(?:[a-z_]+(?:\([^)]*\)?)?)?", text).end()
@@ -99,10 +100,9 @@ def parse_graph_spec(text: str) -> CatalogEntry:
         pos += len(raw) + 1
         if not tok:
             raise ParseError(f"empty argument in {text!r} at position {at}")
-        try:
-            params.append(int(tok))
-        except ValueError:
-            raise ParseError(f"bad integer {tok!r} at position {at}") from None
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ParseError(f"bad integer {tok!r} at position {at}")
+        params.append(int(tok))
     return CatalogEntry(text, family(name, params), name, tuple(params))
 
 
@@ -138,7 +138,7 @@ class RegularityReport:
                     str(self.q),
                     method,
                     str(value),
-                    str(self.degree_formula),
+                    caps.count_text(self.degree_formula),
                     str(self.degree_enum),
                     "true" if self.agree else "false",
                     f"{ms:.3f}",
@@ -147,7 +147,13 @@ class RegularityReport:
         return out
 
     def to_json_dict(self):
-        return asdict(self)
+        """The fields as JSON values; a degree with more digits than Python
+        writes is its ``caps.count_text`` string."""
+        d = asdict(self)
+        shown = caps.count_text(self.degree_formula)
+        if not shown.isdecimal():
+            d["degree_formula"] = shown
+        return d
 
     @classmethod
     def from_json_dict(cls, d) -> "RegularityReport":

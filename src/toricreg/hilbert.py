@@ -18,7 +18,9 @@ Two elimination routines compute ranks:
   base-p digits of the entries, read from the field's digit table
   ``Field.digits``: each span of columns is halved, and the pivots of
   the left half reach the right half through one float matmul over
-  GF(p) with delayed reduction.  It is resumable: columns may
+  GF(p) with delayed reduction, after a forward substitution that
+  solves each complete run of pivots by one product with the cached
+  inverse of its multipliers.  It is resumable: columns may
   arrive in batches, and each batch is brought up to date with the
   pivots already found by the same update, from the stored row
   permutation and multipliers.  ``gf_rank`` ranks one matrix with it.
@@ -146,16 +148,30 @@ def _row_order(rows: int) -> np.ndarray:
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in [0, p), exact for integer-valued floats within 2**bits - p
-    of zero, bits the dtype's mantissa: the range ``_room`` allows.  Each
-    product stays exact, and rounding to the nearest quotient leaves a
-    remainder in (-p, p) that one floor lifts.  Below 256 entries numpy's
-    remainder, one call, is cheaper."""
+    """Reduce x mod p into [0, p) in place and return it; exact for
+    integer-valued floats within 2**bits - p of zero, bits the dtype's
+    mantissa: the range ``_room`` allows.  Each product stays exact, and
+    rounding to the nearest quotient leaves a remainder in (-p, p) that
+    one floor lifts.  Below 256 entries numpy's remainder, one call, is
+    cheaper."""
     if x.size < 256:
-        return x % p
+        return np.remainder(x, p, out=x)
     pinv = 1.0 / p
-    r = x - np.rint(x * pinv) * p
-    return r - np.floor(r * pinv) * p
+    t = x * pinv
+    np.rint(t, out=t)
+    t *= p
+    x -= t
+    np.multiply(x, pinv, out=t)
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+# pivots per run whose multipliers ``_Echelon._update`` inverts as one block;
+# 16, 32 and 64 measure alike, while runs of ``block`` pivots rarely
+# complete inside the short spans of the recursion
+_RUN = 32
 
 
 @functools.lru_cache(maxsize=1024)
@@ -187,7 +203,7 @@ class _Echelon:
     half is eliminated.  A single column only finds its pivot, the first
     nonzero at or below the rank, and stores the multipliers that clear
     the rest of it.  All arithmetic on the work matrix happens in
-    ``_update``: forward substitution among a run of at most ``block``
+    ``_update``: forward substitution among a span of at most ``block``
     pivots, then one matrix product for the rows below them.  Every
     pivot adds k products of at most (p-1)**2 to an entry, so entries
     are reduced mod p only when the next update could carry them past
@@ -195,7 +211,16 @@ class _Echelon:
     The dtype is float32 when ``block`` pivots fit in its 24 bits,
     float64 otherwise.
 
-    A single column and its multipliers are reduced by ``_reduce``.
+    The substitution is blocked by runs of ``_RUN`` pivots (at most
+    ``block``), aligned to multiples of the run length: a complete run
+    is solved by one product with the inverse mod p of its unit
+    lower-triangular multipliers, a partial run pivot by pivot.  Each
+    inverse is built once, by the same substitution on an identity
+    block, and cached: once a run's last pivot is found its multipliers
+    never change, as later pivots write only rows of ``_lt`` at or after
+    their own and a swap moves only columns at or past the rank.  Every
+    reduction goes through ``_reduce``.
+
     Rows start in the fixed hashed order of ``_row_order``, as rank
     ignores row order: in the given coset order neighbouring points
     often leave a zero on the diagonal, and each such pivot swaps the
@@ -226,24 +251,61 @@ class _Echelon:
         self._digits = field.digits.view(np.dtype((np.void, field.digits.itemsize * k)))
         self._digit_dtype = field.digits.dtype
         self._lt = np.empty(((rows if capacity is None else capacity) * k, rows * k), self.dtype)
+        self._run = min(_RUN, block)
+        self._inverses = {}
+
+    def _substitute(self, X, c):
+        """Forward substitution, in place, of the work rows X of the
+        pivots from work row c on by their multipliers; X is left reduced."""
+        p, k, L = self.p, self.k, self._lt
+        _reduce(X[:k], p)
+        for t in range(k, X.shape[0], k):
+            Xt = X[t : t + k]
+            Xt -= L[c : c + t, c + t : c + t + k].T @ X[:t]
+            _reduce(Xt, p)
+
+    def _inverse(self, m):
+        """The inverse mod p of the unit lower-triangular multipliers of
+        the complete run m, built once by substituting an identity block."""
+        inv = self._inverses.get(m)
+        if inv is None:
+            n = self._run * self.k
+            inv = self._inverses[m] = np.eye(n, dtype=self.dtype)
+            self._substitute(inv, m * n)
+        return inv
 
     def _update(self, W, a, b, acc):
-        """Apply pivots a..b-1, ``block`` at a time, to W, whose rows are
-        already permuted and reduced by every earlier pivot, with at most
-        `acc` products pending in any entry; returns the new pending count."""
-        p, k, L = self.p, self.k, self._lt
-        for c in range(a * k, b * k, self.block * k):
-            e = min(c + self.block * k, b * k)
-            if acc + e - c > self._room:
-                W[c:] %= p
+        """Apply pivots a..b-1 to W, whose rows are already permuted and
+        reduced by every earlier pivot, with at most `acc` products
+        pending in any entry; returns the new pending count.
+
+        Pivots go in spans of at most ``block``, ending on a multiple of
+        the run length.  Within a span, each run's rows take the earlier
+        runs' products, then a complete run is solved by one product with
+        its cached inverse and a partial one by substitution; the rows
+        below the span take one product."""
+        p, k, L, run = self.p, self.k, self._lt, self._run
+        while a < b:
+            e = min(b, a + self.block - (a + self.block) % run)
+            c, E = a * k, e * k
+            if acc + E - c > self._room:
+                _reduce(W[c:], p)
                 acc = 0
-            W[c : c + k] %= p
-            for t in range(c + k, e, k):
-                Wt = W[t : t + k]
-                Wt -= L[c:t, t : t + k].T @ W[c:t]
-                Wt %= p
-            W[e:] -= L[c:e, e:].T @ W[c:e]
-            acc += e - c
+            u = a
+            while u < e:
+                v = min(e, u - u % run + run)
+                U, V = u * k, v * k
+                X = W[U:V]
+                if U > c:
+                    X -= L[c:U, U:V].T @ W[c:U]
+                if v - u == run:
+                    X[:] = _reduce(self._inverse(u // run) @ _reduce(X, p), p)
+                else:
+                    self._substitute(X, U)
+                u = v
+            W[E:] -= L[c:E, E:].T @ W[c:E]
+            acc += E - c
+            a = e
         return acc
 
     def _eliminate(self, W, j0, j1, acc):
@@ -259,11 +321,14 @@ class _Echelon:
             return
         p, k, L = self.p, self.k, self._lt
         rk = r * k
-        col = _reduce(W[rk:, j0], p)
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            return
-        i = int(nz[0]) // k
+        col = _reduce(W[rk:, j0].copy(), p)
+        if np.count_nonzero(col[:k]):
+            i = 0
+        else:
+            nz = col.nonzero()[0]
+            if nz.size == 0:
+                return
+            i = int(nz[0]) // k
         F = col.reshape(-1, k)
         if i:
             rows = [*range(rk, rk + k), *range(rk + i * k, rk + i * k + k)]
@@ -273,10 +338,13 @@ class _Echelon:
             self._perm[[r, r + i]] = self._perm[[r + i, r]]
             F[[0, i]] = F[[i, 0]]
         table = _multiplier_table(self._field, F[0].tobytes(), self.dtype)
-        # row u of every multiplier's block; np.dot takes k = 1 as a scalar product
+        # row u of every multiplier's block
         below, Lr = F[1:], L[rk : rk + k, rk + k :]
-        for u in range(k):
-            Lr[u] = _reduce(np.dot(below, table[u]), p).ravel()
+        if k == 1:
+            Lr[0] = _reduce(below[:, 0] * table[0, 0, 0], p)
+        else:
+            for u in range(k):
+                Lr[u] = _reduce(below @ table[u], p).ravel()
         self.rank = r + 1
 
     def add_columns(self, cols: np.ndarray) -> int:
@@ -328,7 +396,7 @@ def _check_echelon(size: int, distinct: int, k: int, limit: int) -> None:
     cells over GF(p), if that count exceeds `limit`."""
     cells = size * k * distinct * k
     if cells > limit:
-        raise TooLargeError(f"rank echelon has {cells} cells, cap is {limit}")
+        raise TooLargeError(f"rank echelon has {caps.count_text(cells)} cells, cap is {limit}")
 
 
 def _check_distinct(rank: int, rows: int) -> None:
@@ -346,7 +414,8 @@ def hilbert_value(ps: PointSet, d: int, field: Field) -> int:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")
     cells, limit = ps.size * comb(ps.s + d - 1, d), caps.matrix_cap()
     if cells > limit:
-        raise TooLargeError(f"evaluation matrix has {cells} cells, cap is {limit}")
+        raise TooLargeError(f"evaluation matrix has {caps.count_text(cells)} cells, "
+                            f"cap is {limit}")
     mons = monomial_matrix(ps.s, d)
     E = evaluation_columns(ps, mons, field)
     E = _unique_rows(E)

@@ -72,9 +72,9 @@ def binomial_in_ideal(g: Multigraph, q: int, a, b) -> bool:
     return residue_of(g, q, a) == residue_of(g, q, b)
 
 
-def _reduced_coordinates(g: Multigraph):
-    """The kept vertices of a normalised residue, the lift back to every
-    vertex, and the graph's stats, from one traversal.
+def _reduced_coordinates(g: Multigraph, traversal, stats: GraphStats):
+    """The kept vertices of a normalised residue and the lift back to
+    every vertex, from the graph's ``_traverse`` and its stats.
 
     Each relation below holds for every delta_j, so for every rho, and
     has coefficient +-1 at the vertex it drops:
@@ -84,10 +84,9 @@ def _reduced_coordinates(g: Multigraph):
       the first non-bipartite component.  With none, the colour-0
       classes together sum to 0, so drop the first vertex of the first
       component.
-    Returns (kept, lift, stats) with rho = rho[kept] @ lift mod q-1.
+    Returns (kept, lift) with rho = rho[kept] @ lift mod q-1.
     """
-    comps, color, odd = _traverse(g)
-    stats = GraphStats(n=g.n, m=len(comps), gamma=sum(odd))
+    comps, color, odd = traversal
     sign = 1 - 2 * np.array(color)
     relations = []
     for comp, is_odd in zip(comps, odd):
@@ -109,7 +108,7 @@ def _reduced_coordinates(g: Multigraph):
     lift[np.arange(len(kept)), kept] = 1
     for v, w in relations:
         lift[:, v] = -(lift @ w) * w[v]
-    return kept, lift, stats
+    return kept, lift
 
 
 def _deltas(g: Multigraph, kept) -> np.ndarray:
@@ -138,17 +137,23 @@ class ReachTable:
     __slots__ = ("g", "q", "_dist", "_inf", "_kept", "_lift", "_deltas")
 
     def __init__(self, g: Multigraph, q: int):
-        kept, lift, stats = _reduced_coordinates(g)
-        if q == 2:
-            kept, lift = [], lift[:0]  # every residue is 0 mod 1
+        traversal = _traverse(g)
+        comps, _, odd = traversal
+        stats = GraphStats(n=g.n, m=len(comps), gamma=sum(odd))
         qm1 = q - 1
-        k = len(kept)
+        # every residue is 0 mod 1, so q = 2 keeps no vertex
+        k = stats.n - stats.m + stats.gamma - 1 if q > 2 else 0
         limit = caps.state_cap()
         states = qm1**k
         if states > limit:
-            raise TooLargeError(f"(q-1)**k = {states} reduced residues exceed the state cap {limit}")
+            raise TooLargeError(f"(q-1)**k = {caps.count_text(states)} reduced residues "
+                                f"exceed the state cap {limit}")
         if k > 32:
             raise TooLargeError("residue tensors support at most 32 kept vertices")
+        if q > 2:
+            kept, lift = _reduced_coordinates(g, traversal, stats)
+        else:
+            kept, lift = [], np.zeros((0, g.n), np.int64)
         deltas = _deltas(g, kept) % qm1
         inf = (g.s - 1) * (q - 2) + 2
         steps = (q - 2).bit_length()

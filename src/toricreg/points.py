@@ -79,7 +79,8 @@ def enumerate_points(g: Multigraph, q: int) -> PointSet:
     expected = degree_formula(graph_stats(g), q)
     limit = caps.state_cap()
     if expected * g.s > limit:
-        raise TooLargeError(f"|X|*s = {expected * g.s} cells exceed the state cap {limit}")
+        raise TooLargeError(f"|X|*s = {caps.count_text(expected * g.s)} cells exceed "
+                            f"the state cap {limit}")
     dtype = np.min_scalar_type(qm1 - 1)
     wide = np.min_scalar_type(2 * (qm1 - 1))  # holds a sum of two logs
     incidence = np.zeros((g.n, g.s), np.int64)

@@ -3,8 +3,9 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from toricreg.errors import EdgeExistsError, InvalidSpecError
+from toricreg.errors import EdgeExistsError, InvalidSpecError, TooLargeError
 from toricreg.graph import (
+    _EDGE_COUNTS,
     GraphStats,
     Multigraph,
     ParallelSpec,
@@ -96,6 +97,44 @@ def test_family_examples():
         ("path", ()),
     ):
         with pytest.raises(InvalidSpecError):
+            family(kind, params)
+
+
+FAMILY_CASES = [
+    ("path", (5,)),
+    ("cycle", (6,)),
+    ("complete", (5,)),
+    ("biclique", (2, 3)),
+    ("multipartite", (1, 2, 3)),
+    ("parallel", (1, 2, 3)),
+    ("star", (4,)),
+]
+
+
+@pytest.mark.parametrize("kind, params", FAMILY_CASES)
+def test_family_edge_counts_match_the_built_graphs(kind, params):
+    assert _EDGE_COUNTS[kind](*params) == family(kind, params).s
+
+
+def test_family_refuses_more_edges_than_the_state_cap(monkeypatch):
+    """|X|*s >= s, so the state cap bounds the edge count, checked before
+    any edge list is built; at the default cap a path of 10**20 edges
+    is refused at once."""
+    monkeypatch.delenv("TORICREG_MAX_STATES", raising=False)
+    with pytest.raises(TooLargeError, match="path has 100000000000000000000 edges"):
+        family("path", (10**20,))
+    monkeypatch.setenv("TORICREG_MAX_STATES", "100")
+    assert family("path", (100,)).s == 100
+    for kind, params in (
+        ("path", (101,)),
+        ("cycle", (101,)),
+        ("complete", (15,)),
+        ("biclique", (1, 101)),
+        ("multipartite", (6, 6, 6)),
+        ("parallel", (50, 51)),
+        ("star", (101,)),
+    ):
+        with pytest.raises(TooLargeError, match=f"{kind} has 10[0-9] edges"):
             family(kind, params)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from toricreg import caps
 from toricreg.cli import main
 from toricreg.errors import (
     CeilingExceededError,
@@ -68,11 +69,26 @@ def test_parse_errors():
         ("parallel(2,a)", 11),
         ("parallel(2, a)", 12),
         ("cycle(3,,4)", 8),
+        ("path(2)x)", 7),
+        ("path(1_0)", 5),
+        ("path(+3)", 5),
+        ("path(\u0663)", 5),  # ARABIC-INDIC DIGIT THREE
     ],
 )
 def test_parse_errors_name_the_first_rejected_position(spec, pos):
     with pytest.raises(ParseError, match=rf"at position {pos}(\D|$)"):
         parse_graph_spec(spec)
+
+
+def test_parse_takes_ascii_integers_only():
+    """An argument is -?[0-9]+: a sign, underscores and non-ASCII digits
+    are bad integers, and a negative one is left to the family."""
+    for spec in ("path(1_0)", "path(+3)", "path(\u0663)"):
+        with pytest.raises(ParseError, match="bad integer"):
+            parse_graph_spec(spec)
+    with pytest.raises(InvalidSpecError):
+        parse_graph_spec("path(-1)")
+    assert parse_graph_spec("parallel( 1, 2 )").params == (1, 2)
 
 
 def test_parse_file_graph(tmp_path):
@@ -386,6 +402,54 @@ def test_reg_leaves_numpy_random_unimported():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_counts_past_the_digit_limit_are_shown_in_short(capsys, monkeypatch):
+    """path(16000) at q = 3 has |X| = 2**15999, 4,816 digits, past
+    Python's int-to-str limit: the caps refuse rank, sieve and
+    enumeration, and the degree is shown by its leading digits."""
+    monkeypatch.delenv("TORICREG_MAX_STATES", raising=False)
+    assert main(["reg", "path(16000)", "-q", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "degree: 1.5097e+4816 (formula), NOT_RUN (enumerated)"
+    assert out[2].startswith("rank:    NOT_RUN ") and out[3].startswith("sieve:   NOT_RUN ")
+    assert out[4:] == ["formula: 15999  [torus]", "agreement: true"]
+    assert main(["reg", "path(16000)", "-q", "3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["degree_formula"] == "1.5097e+4816" and report["formula"] == 15999
+    assert main(["degree", "path(16000)", "-q", "3"]) == 0
+    assert capsys.readouterr().out == "1.5097e+4816\n"
+    # |X|**2 echelon cells and (q-1)**k = |X| residues
+    for method, count in (("rank", "2.2792e+9632"), ("sieve", "1.5097e+4816")):
+        assert main(["reg", "path(16000)", "-q", "3", "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert count in err and err.count("\n") == 1
+
+
+def test_specs_with_more_edges_than_the_state_cap_are_refused(monkeypatch, capsys):
+    """|X|*s >= s, so a spec with more edges than the state cap can never
+    be enumerated: it is refused before its edge list is built."""
+    monkeypatch.delenv("TORICREG_MAX_STATES", raising=False)
+    assert main(["reg", "path(99999999999999999999)", "-q", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: path has 99999999999999999999 edges, over the state cap 10000000\n"
+    )
+    monkeypatch.setenv("TORICREG_MAX_STATES", "100")
+    assert main(["reg", "path(100)", "-q", "3", "--method", "formula"]) == 0
+    assert main(["reg", "path(101)", "-q", "3", "--method", "formula"]) == 2
+    assert "path has 101 edges" in capsys.readouterr().err
+
+
+def test_count_text_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert caps.count_text(0) == "0" and caps.count_text(10**limit - 1) == str(10**limit - 1)
+    for n in (10**limit, 2**15999, 10**5000 - 1, 12345 * 10**6000 + 67890, 10**5000 + 99999):
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert caps.count_text(n) == f"{digits[0]}.{digits[1:5]}e+{len(digits) - 1}"
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

@@ -267,6 +267,40 @@ def test_echelon_batches_match_one_shot(p, block):
         assert echelon.rank == _rank_p(mat, field, block)
 
 
+@pytest.mark.parametrize(
+    "q, block, rank", [(2, 256, 100), (5, 256, 100), (2039, 2, 13), (4, 8, 30), (9, 8, 30)]
+)
+def test_run_inverses_match_the_reference(q, block, rank):
+    """Complete runs of pivots are applied by one product with their
+    cached inverse.  Batches are cut inside runs, so each batch's replay
+    of the pivots already found mixes complete runs with partial ones,
+    and the rank spans at least three complete runs.  At p = 2039 with
+    block 2, a run of two pivots in float32 has room for four products:
+    the rows of a run take two from the span before it, and multiplying
+    them by the inverse unreduced would pass 2**24."""
+    field = Field(q)
+    m, n = rank + 10, rank + 40
+    if field.k == 1:
+        logs = _logs(_low_rank(np.random.default_rng(q), q, m, n, rank), field)
+    else:
+        rng = random.Random(q)
+        a = _random_log_matrix(rng, q, m, rank)
+        logs = np.array(_product(field, a, _random_log_matrix(rng, q, rank, n)))
+    echelon = _Echelon(m, field, block=block)
+    run = echelon._run
+    assert rank >= 3 * run
+    if q == 2039:
+        assert run == 2 and echelon.dtype == np.float32 and echelon._room == 4
+    lo = 0
+    for hi in (run + 1, 2 * run + 1, 3 * run + 1, n):
+        got = echelon.add_columns(logs[:, lo:hi])
+        assert got == rank_reference(logs[:, :hi].T.tolist(), field), hi
+        if hi < n:
+            assert got % run, hi  # the cut falls inside a run
+        lo = hi
+    assert echelon.rank == rank
+
+
 def test_echelon_reduces_before_a_panel_overflows():
     """At p = 2897 with block 2 an entry reduced below p has room for
     two products of (p-1)**2 in float32.  The second batch takes two
@@ -317,7 +351,7 @@ def test_reduce_is_exact_over_the_delayed_reduction_range(p, dtype, bits):
     x = xi.astype(dtype)
     assert np.array_equal(x.astype(np.int64), xi)
     for chunk in (x, x[:100]):  # the short one takes numpy's remainder
-        got = _reduce(chunk, p)
+        got = _reduce(chunk.copy(), p)
         assert got.dtype == dtype
         assert np.array_equal(got.astype(np.int64), xi[: chunk.size] % p)
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations, islice, product
 from math import comb
 
@@ -265,6 +266,22 @@ def test_reach_cap(monkeypatch):
     monkeypatch.setenv("TORICREG_MAX_STATES", "100")
     with pytest.raises(TooLargeError):
         ReachTable(cycle_graph(12), 5)
+
+
+def test_reach_cap_is_checked_before_the_lift_is_built(monkeypatch):
+    """path(3000) keeps k = 2999 vertices, so (q-1)**k passes the cap;
+    the lift back to every vertex would be a 2999 x 3001 int64 array
+    (72 MB), and the refusal must come before it."""
+    monkeypatch.delenv("TORICREG_MAX_STATES", raising=False)
+    g = path_graph(3000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="exceed the state cap"):
+            ReachTable(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_state_cap_counts_the_reduced_residues(monkeypatch):
