@@ -32,7 +32,14 @@ and evaluates them by one exact integer product.  The profile of
 with first coordinate x_1 = 1, so the rows of degree d-1 all reappear at
 degree d, and every row new at degree d is a row new at degree d-1
 shifted by one point column j >= 2 (x_1 is regular on the quotient, as in
-Renteria-Simis-Villarreal, Finite Fields Appl. 2011).  It keeps that
+Renteria-Simis-Villarreal, Finite Fields Appl. 2011).  Each new row is
+shifted only by the columns j at or after the one that first built it,
+and no row is lost: among the lowest-degree monomials in x_2..x_s that
+give a row R' new at degree d, take one whose largest variable x_j is
+smallest.  It is m x_j, where row(m) is new at degree d-1 (else R'
+would be) and m has no variable past x_j; by induction row(m) was first
+built by a column at most j, so column j builds R', and no earlier
+column does, as its monomial would end before x_j.  It keeps that
 frontier of new rows, feeds one echelon, transposed so that rows arrive
 as columns, only the rows never seen in a lower degree, and reads H(0),
 H(1), ... off its growing rank.  On this point set, a group, distinct
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count
 from math import comb
 
 import numpy as np
@@ -173,6 +180,10 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 # complete inside the short spans of the recursion
 _RUN = 32
 
+# columns ``_Echelon._eliminate`` eliminates as one transposed panel at the
+# bottom of its recursion; 8, 16 and 32 measure alike
+_PANEL = 16
+
 
 @functools.lru_cache(maxsize=1024)
 def _multiplier_table(field: Field, pivot: bytes, dtype) -> np.ndarray:
@@ -200,14 +211,17 @@ class _Echelon:
     Recursive LU with row pivoting, as in Dumas-Pernet-Sultan (ISSAC
     2013): a span of columns is split in two, the left half is
     eliminated, its pivots are applied to the right half, and the right
-    half is eliminated.  A single column only finds its pivot, the first
-    nonzero at or below the rank, and stores the multipliers that clear
-    the rest of it.  All arithmetic on the work matrix happens in
-    ``_update``: forward substitution among a span of at most ``block``
-    pivots, then one matrix product for the rows below them.  Every
-    pivot adds k products of at most (p-1)**2 to an entry, so entries
-    are reduced mod p only when the next update could carry them past
-    the float mantissa (delayed modular reduction, as in FFLAS-FFPACK).
+    half is eliminated.  A span of at most ``_PANEL`` columns is one
+    panel, copied transposed so that each column is contiguous: column
+    by column, it is reduced, finds its pivot, the first nonzero at or
+    below the rank, stores the multipliers that clear the rest of it,
+    and reaches the later panel columns by one rank-k update.  Above the
+    panels all arithmetic on the work matrix happens in ``_update``:
+    forward substitution among a span of at most ``block`` pivots, then
+    one matrix product for the rows below them.  Every pivot adds k
+    products of at most (p-1)**2 to an entry, so entries are reduced
+    mod p only when the next update could carry them past the float
+    mantissa (delayed modular reduction, as in FFLAS-FFPACK).
     The dtype is float32 when ``block`` pivots fit in its 24 bits,
     float64 otherwise.
 
@@ -310,42 +324,68 @@ class _Echelon:
 
     def _eliminate(self, W, j0, j1, acc):
         """Find the pivots of columns j0..j1-1 of W, already reduced by
-        every earlier pivot with at most `acc` products pending."""
+        every earlier pivot with at most `acc` products pending: one
+        half of the span after the other, down to panels of at most
+        ``_PANEL`` columns."""
         r = self.rank
         if r == self._perm.size:
             return
-        if j1 - j0 > 1:
+        if j1 - j0 > _PANEL:
             mid = (j0 + j1) // 2
             self._eliminate(W, j0, mid, acc)
             self._eliminate(W, mid, j1, self._update(W[:, mid:j1], r, self.rank, acc))
             return
         p, k, L = self.p, self.k, self._lt
-        rk = r * k
-        col = _reduce(W[rk:, j0].copy(), p)
-        if np.count_nonzero(col[:k]):
-            i = 0
-        else:
-            nz = col.nonzero()[0]
-            if nz.size == 0:
+        r0 = r * k
+        # the panel transposed: P[c] is column j0+c from work row r0 on
+        P = W[r0:, j0:j1].T.copy()
+        pending = acc
+        for c in range(len(P)):
+            r = self.rank
+            if r == self._perm.size:
                 return
-            i = int(nz[0]) // k
-        F = col.reshape(-1, k)
-        if i:
-            rows = [*range(rk, rk + k), *range(rk + i * k, rk + i * k + k)]
-            swapped = rows[k:] + rows[:k]
-            W[rows, j0:] = W[swapped, j0:]
-            L[:rk, rows] = L[:rk, swapped]
-            self._perm[[r, r + i]] = self._perm[[r + i, r]]
-            F[[0, i]] = F[[i, 0]]
-        table = _multiplier_table(self._field, F[0].tobytes(), self.dtype)
-        # row u of every multiplier's block
-        below, Lr = F[1:], L[rk : rk + k, rk + k :]
-        if k == 1:
-            Lr[0] = _reduce(below[:, 0] * table[0, 0, 0], p)
-        else:
-            for u in range(k):
-                Lr[u] = _reduce(below @ table[u], p).ravel()
-        self.rank = r + 1
+            rk = r * k
+            off = rk - r0
+            col = _reduce(P[c, off:], p)
+            if np.count_nonzero(col[:k]):
+                i = 0
+            else:
+                nz = col.nonzero()[0]
+                if nz.size == 0:
+                    continue
+                i = int(nz[0]) // k
+            if i:
+                rows = np.array([*range(rk, rk + k), *range(rk + i * k, rk + i * k + k)])
+                swapped = rows.reshape(2, k)[::-1].ravel()
+                # the panel's own columns of W are never read again
+                W[rows, j1:] = W[swapped, j1:]
+                L[:rk, rows] = L[:rk, swapped]
+                P[c:, rows - r0] = P[c:, swapped - r0]
+                self._perm[[r, r + i]] = self._perm[[r + i, r]]
+            F = col.reshape(-1, k)
+            table = _multiplier_table(self._field, F[0].tobytes(), self.dtype)
+            # row u of every multiplier's block
+            below, Lr = F[1:], L[rk : rk + k, rk + k :]
+            if k == 1:
+                Lr[0] = _reduce(below[:, 0] * table[0, 0, 0], p)
+            else:
+                for u in range(k):
+                    Lr[u] = _reduce(below @ table[u], p).ravel()
+            self.rank = r + 1
+            if c + 1 == len(P):
+                return
+            # the later panel columns take this pivot's row, reduced
+            if pending + k > self._room:
+                _reduce(P[c + 1 :, off:], p)
+                pending = 0
+            else:
+                _reduce(P[c + 1 :, off : off + k], p)
+            X, rest = P[c + 1 :, off : off + k], P[c + 1 :, off + k :]
+            if k == 1:
+                rest -= np.multiply.outer(X[:, 0], Lr[0])
+            else:
+                rest -= X @ Lr
+            pending += k
 
     def add_columns(self, cols: np.ndarray) -> int:
         """Feed the columns of a (rows, c) log-representation matrix,
@@ -438,9 +478,10 @@ def _hilbert_levels(ps: PointSet, field: Field):
     with rows built from the points alone (see the module docstring).
 
     Degree d's candidates are the rows new at degree d-1 shifted by each
-    point column j >= 2, mod q-1, one column at a time.  Those not seen
-    at a lower degree are the next frontier; they enter one `_Echelon`
-    as new columns.  Before degree d >= 1 is built, the echelon it can
+    point column j >= 2, mod q-1, one column at a time, each row only by
+    the columns at or after the one that first built it.  Those not seen
+    at a lower degree are the next frontier, stacked by the column that
+    built them; they enter one `_Echelon` as new columns.  Before degree d >= 1 is built, the echelon it can
     fill, at most min(|X|, |seen| + (s-1)|frontier|) distinct rows, is
     checked against the matrix cap.  H must rise strictly at every
     degree up to |X| and never pass it; once it reaches |X| it stays
@@ -458,6 +499,8 @@ def _hilbert_levels(ps: PointSet, field: Field):
     # logs are below q-1, so the sum of two never overflows this dtype
     P = ps.points.astype(np.min_scalar_type(2 * (qm1 - 1)))
     frontier = np.zeros((1, size), P.dtype)  # the row of the monomial 1
+    # frontier[:ends[j]] are the rows first built by a point column <= j
+    ends = [1] * ps.s
     seen = set()
     h = 0
     for d in count():
@@ -465,8 +508,12 @@ def _hilbert_levels(ps: PointSet, field: Field):
             if d:
                 bound = len(seen) + (ps.s - 1) * len(frontier)
                 _check_echelon(size, min(size, bound), k, limit)
-            shifts = (_shift(frontier, P[:, j], qm1) for j in range(1, ps.s)) if d else [frontier]
-            frontier = np.vstack([_unique_rows(E, seen) for E in shifts])
+                parts = [_unique_rows(_shift(frontier[: ends[j]], P[:, j], qm1), seen)
+                         for j in range(1, ps.s)]
+                ends = [0, *accumulate(map(len, parts))]
+                frontier = np.vstack(parts)
+            else:
+                frontier = _unique_rows(frontier, seen)
             prev, h = h, echelon.add_columns(frontier.T)
             _check_distinct(h, len(seen))
             if not prev < h <= size:

@@ -8,6 +8,7 @@ from toricreg.errors import ConsistencyError, TooLargeError
 from toricreg.field import Field, ZERO
 from toricreg.graph import cycle_graph, parallel_composition, path_graph, simplify
 from toricreg.hilbert import (
+    _PANEL,
     _Echelon,
     _hilbert_levels,
     _multiplier_table,
@@ -328,6 +329,47 @@ def test_echelon_reduces_before_a_panel_overflows():
     assert echelon.add_columns(fed[:, 2:]) == rank_reference(logs.T.tolist(), field) == 3
 
 
+@pytest.mark.parametrize(
+    "q, block",
+    [(2, 256), (5, 256), (2039, 256), (2039, 4), (4093, 1), (251, 4), (4, 256), (8, 256), (9, 256),
+     (25, 256)],
+)
+def test_panel_batches_match_the_reference(q, block):
+    """The bottom of the recursion eliminates up to ``_PANEL`` columns as
+    one panel.  Batches of 1, _PANEL - 1, _PANEL, _PANEL + 1 and
+    3 _PANEL + 5 columns cut the columns inside panels and the pivots
+    inside runs; within a batch, columns are new, zero, or scaled copies
+    of an earlier column of the same batch, so panels are rank-deficient
+    and a batch wider than a panel meets row swaps past its first panel.
+    A float32 entry has room for 268 products at p = 251 with block 4,
+    4 at p = 2039 with block 4 and 1 at p = 4093 with block 1, so a
+    panel reduces between its rank-1 updates."""
+    field = Field(q)
+    rng = random.Random(q * 1000 + block)
+    m = 48
+    widths = [1, _PANEL - 1, _PANEL, _PANEL + 1, 3 * _PANEL + 5]
+    cols = []
+    for w in widths:
+        start = len(cols)
+        for _ in range(w):
+            u = rng.random()
+            if u < 0.4 or len(cols) == start:
+                cols += _random_log_matrix(rng, q, 1, m)
+            elif u < 0.85:
+                cols += _scaled_combination_rows(rng, field, cols[start:], 1)
+            else:
+                cols.append([ZERO] * m)
+    logs = np.array(cols).T
+    echelon = _Echelon(m, field, block=block)
+    ranks, hi = [], 0
+    for w in widths:
+        lo, hi = hi, hi + w
+        ranks.append(echelon.add_columns(logs[:, lo:hi]))
+        assert ranks[-1] == rank_reference(logs[:, :hi].tolist(), field), (lo, hi)
+    assert echelon._run == 1 or any(r % echelon._run for r in ranks[:-1])
+    assert all(a < b for a, b in zip(ranks, ranks[1:])) and echelon.rank < m
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2039, 2897, 4093])
 @pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
 def test_reduce_is_exact_over_the_delayed_reduction_range(p, dtype, bits):
@@ -504,6 +546,91 @@ def test_profile_matches_single_degree_oracle():
         oracle = [hilbert_value(ps, d, field) for d in range(len(prof.values))]
         assert list(prof.values) == oracle, (g.edges, q)
         assert prof.strictly_increasing_then_constant()
+
+
+class _CountingEchelon:
+    """Stands in for `_Echelon` in `_hilbert_levels`: distinct rows on a
+    point set are independent, so the rank is the count of rows fed.
+    Records each degree's rows as a set."""
+
+    def __init__(self, *args, **kwargs):
+        self.rank, self.fed = 0, []
+
+    def add_columns(self, cols):
+        self.fed.append({row.tobytes() for row in cols.T.astype(np.uint16)})
+        self.rank += cols.shape[1]
+        return self.rank
+
+
+def _fed_rows(monkeypatch, ps):
+    """Each degree's new rows as `_hilbert_levels` builds them, up to
+    saturation, with no elimination."""
+    import toricreg.hilbert as hilbert
+
+    echelon = _CountingEchelon()
+    monkeypatch.setattr(hilbert, "_Echelon", lambda *args, **kwargs: echelon)
+    for h in _hilbert_levels(ps, Field(ps.q)):
+        if h == ps.size:
+            return echelon.fed
+
+
+def _unpruned_rows(ps):
+    """Each degree's new rows, built by shifting every new row of the
+    degree before by every point column j >= 2."""
+    points = ps.points.astype(np.uint16)
+    frontier = np.zeros((1, ps.size), np.uint16)
+    seen = {frontier[0].tobytes()}
+    out = [set(seen)]
+    while len(seen) < ps.size:
+        new = {}
+        for j in range(1, ps.s):
+            for row in (frontier + points[:, j]) % (ps.q - 1):
+                key = row.tobytes()
+                if key not in seen:
+                    new.setdefault(key, row)
+        seen.update(new)
+        out.append(set(new))
+        frontier = np.array(list(new.values()))
+    return out
+
+
+def test_frontier_rows_match_an_unpruned_build(monkeypatch):
+    """`_hilbert_levels` shifts a new row only by the point columns at or
+    after the one that first built it.  Every degree must still feed the
+    echelon exactly the new rows of the build that shifts every row by
+    every column."""
+    rng = random.Random(20261020)
+    cases = [(parallel_composition((3, 5)), 4), (parallel_composition((3, 5)), 5)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        drawn = 0
+        while drawn < 8:
+            g = _random_multigraph(rng)
+            if g.s > 1 and (q - 1) ** g.n <= 4000:
+                cases.append((g, q))
+                drawn += 1
+    for g, q in cases:
+        ps = enumerate_points(g, q)
+        assert _fed_rows(monkeypatch, ps) == _unpruned_rows(ps), (g.edges, q)
+
+
+def test_frontier_build_passes_few_candidate_rows(monkeypatch):
+    """A work guard without timing: on parallel(3,5) at q = 5 (4,096
+    points) the pruned build passes 5,944 candidate rows to
+    `_unique_rows`, the row of the monomial 1 included; shifting every
+    new row by every column passes 23,920."""
+    import toricreg.hilbert as hilbert
+
+    passed = []
+    unique = hilbert._unique_rows
+
+    def counting(E, seen=None):
+        passed.append(len(E))
+        return unique(E, seen)
+
+    monkeypatch.setattr(hilbert, "_unique_rows", counting)
+    fed = _fed_rows(monkeypatch, enumerate_points(parallel_composition((3, 5)), 5))
+    assert sum(map(len, fed)) == 4096
+    assert sum(passed) <= 6000
 
 
 def test_levels_need_canonical_points():
