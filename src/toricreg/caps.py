@@ -5,8 +5,8 @@ residue reachability walks (q-1)**(n-m+gamma-1) reduced residues, one
 axis per kept vertex; the state cap counts both.  The rank route
 eliminates over GF(q) on the base-p digits of the entries: |X|*k work
 rows, k = log_p q, one column per distinct row, and a k x k multiplier
-block per pivot and row, so its multipliers fill |X|*k by
-(distinct rows)*k cells.  Only ``hilbert`` reads the cap on those
+block per row and pivot, stored row-major: its multipliers fill |X|*k
+rows of (distinct rows)*k cells.  Only ``hilbert`` reads the cap on those
 cells, and it refuses before any elimination.  Both caps refuse loudly
 (TooLargeError) instead of running forever.  The environment variable
 TORICREG_MAX_STATES overrides both caps.  ``count_text`` writes the
@@ -19,7 +19,9 @@ ENV_VAR = "TORICREG_MAX_STATES"
 
 DEFAULT_STATE_CAP = 10_000_000
 # multipliers take 4 bytes a cell where 256*k*(p-1)**2 + p < 2**24 (float32:
-# p <= 251 at k = 1, p <= 181 at k = 2), 8 otherwise: up to 800 MB at this cap
+# p <= 251 at k = 1, p <= 181 at k = 2), 8 otherwise: up to 800 MB at this cap.
+# Each pivot writes one column block of every row, so the pages of each row
+# become resident as the rank passes them
 DEFAULT_MATRIX_CAP = 100_000_000
 
 

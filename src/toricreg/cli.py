@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from itertools import islice
@@ -27,6 +28,7 @@ from .harness import (
     NOT_APPLICABLE,
     _formula_for_entry,
     default_catalog,
+    distinct_field_sizes,
     evaluate_entry,
     load_catalog,
     parse_graph_spec,
@@ -168,7 +170,11 @@ def _cmd_member(args) -> int:
 
 def _cmd_verify(args) -> int:
     entries = load_catalog(args.catalog) if args.catalog else default_catalog()
-    q_list = tuple(int(tok) for tok in args.q.split(","))
+    tokens = args.q.split(",")
+    bad = next((tok for tok in tokens if not re.fullmatch(r"[0-9]+", tok)), None)
+    if bad is not None:
+        raise ParseError(f"--q: bad field size {bad!r}")
+    q_list = distinct_field_sizes([int(tok) for tok in tokens], "--q")
     for q in set(q_list).union(*(entry.qs or () for entry in entries)):
         prime_power(q)
     caps.state_cap()  # a bad TORICREG_MAX_STATES fails here, not in every entry

@@ -215,6 +215,14 @@ def default_catalog() -> list:
     return entries
 
 
+def distinct_field_sizes(sizes, where: str) -> tuple:
+    """`sizes` as a tuple; a ParseError names `where` and a size given twice."""
+    for i, q in enumerate(sizes):
+        if q in sizes[:i]:
+            raise ParseError(f"{where}: field size {q} given twice")
+    return tuple(sizes)
+
+
 def load_catalog(path) -> list:
     """User catalog: JSON list of {"spec": str, "q": [ints]?, "expect_reg": int?}."""
     with open(path, encoding="utf-8") as fh:
@@ -227,15 +235,14 @@ def load_catalog(path) -> list:
             raise ParseError(f'catalog entry must be an object with a string "spec", got {item!r}')
         entry = parse_graph_spec(item["spec"])
         qs = item.get("q")
-        if qs is not None and not (
-            isinstance(qs, list) and qs and all(type(q) is int for q in qs)
-        ):
-            raise ParseError(f"catalog q must be a nonempty list of integers, got {qs!r}")
+        where = f"catalog entry {item['spec']!r}: q"
+        if qs is not None and not (isinstance(qs, list) and qs and all(type(q) is int for q in qs)):
+            raise ParseError(f"{where} must be a nonempty list of integers, got {qs!r}")
         expect = item.get("expect_reg")
         if expect is not None and type(expect) is not int:
             raise ParseError(f"catalog expect_reg must be an integer, got {expect!r}")
         entries.append(
-            replace(entry, expect_reg=expect, qs=None if qs is None else tuple(qs))
+            replace(entry, expect_reg=expect, qs=qs and distinct_field_sizes(qs, where))
         )
     return entries
 

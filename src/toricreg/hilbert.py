@@ -16,14 +16,15 @@ Two elimination routines compute ranks:
   cross-check the production path against it.
 * ``_Echelon`` -- recursive elimination over GF(q), q = p**k, on the
   base-p digits of the entries, read from the field's digit table
-  ``Field.digits``: each span of columns is halved, and the pivots of
-  the left half reach the right half through one float matmul over
-  GF(p) with delayed reduction, after a forward substitution that
-  solves each complete run of pivots by one product with the cached
-  inverse of its multipliers.  It is resumable: columns may
-  arrive in batches, and each batch is brought up to date with the
-  pivots already found by the same update, from the stored row
-  permutation and multipliers.  ``gf_rank`` ranks one matrix with it.
+  ``Field.digits``, each batch held transposed: each span of columns is
+  halved down to panels factored from a block of candidate rows, and
+  the pivots of the left half reach the right half through one float
+  matmul over GF(p) with delayed reduction, after a forward
+  substitution that solves each complete run of pivots by one product
+  with the cached inverse of its multipliers.  It is resumable: columns
+  arrive in batches, each brought up to date with the pivots already
+  found by the same update, from the stored row permutation and
+  multipliers.  ``gf_rank`` ranks one matrix with it.
 
 The two routes to H(d) build their rows by different methods, so each
 checks the other.  ``hilbert_value`` enumerates the degree-d monomials
@@ -180,9 +181,11 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 # complete inside the short spans of the recursion
 _RUN = 32
 
-# columns ``_Echelon._eliminate`` eliminates as one transposed panel at the
-# bottom of its recursion; 8, 16 and 32 measure alike
+# columns ``_Echelon._eliminate`` factors as one panel at the bottom of its
+# recursion (16, 32 and 64 measure alike), and the rows past the panel width
+# in the block of candidate rows it factors first
 _PANEL = 16
+_SPARE = 16
 
 
 @functools.lru_cache(maxsize=1024)
@@ -203,27 +206,36 @@ class _Echelon:
     rank of every column fed so far.
 
     Each entry is held as its k base-p digits (in the basis 1, g, ...,
-    g**(k-1)), gathered from ``Field.digits``, so the work matrix has k
-    rows per matrix row, and subtracting m times a row multiplies its k
-    digit rows by the k x k matrix over GF(p) of multiplication by m: all
-    arithmetic is over GF(p), and each pivot spans k work rows.
+    g**(k-1)), gathered from ``Field.digits``, so a matrix row is k work
+    rows, and subtracting m times a row multiplies its k digit rows by the
+    k x k matrix over GF(p) of multiplication by m: all arithmetic is over
+    GF(p), and each pivot spans k work rows.  A batch is held transposed,
+    one contiguous row per fed column.
 
     Recursive LU with row pivoting, as in Dumas-Pernet-Sultan (ISSAC
     2013): a span of columns is split in two, the left half is
     eliminated, its pivots are applied to the right half, and the right
-    half is eliminated.  A span of at most ``_PANEL`` columns is one
-    panel, copied transposed so that each column is contiguous: column
-    by column, it is reduced, finds its pivot, the first nonzero at or
-    below the rank, stores the multipliers that clear the rest of it,
-    and reaches the later panel columns by one rank-k update.  Above the
-    panels all arithmetic on the work matrix happens in ``_update``:
-    forward substitution among a span of at most ``block`` pivots, then
-    one matrix product for the rows below them.  Every pivot adds k
-    products of at most (p-1)**2 to an entry, so entries are reduced
-    mod p only when the next update could carry them past the float
-    mantissa (delayed modular reduction, as in FFLAS-FFPACK).
-    The dtype is float32 when ``block`` pivots fit in its 24 bits,
-    float64 otherwise.
+    half is eliminated.  A span of b <= ``_PANEL`` columns is a panel,
+    which ``_factor`` eliminates column by column: each column is reduced,
+    finds its pivot, the first nonzero at or below the rank, stores the
+    multipliers that clear the rest of it, and reaches the later panel
+    columns by one rank-k update.  It runs first on a copy of the first
+    b + ``_SPARE`` rows at or past the rank and b*k identity rows, the
+    digits of g**a in column c.  If every column finds its pivot among
+    those candidates, they are the whole panel's pivots, as the first
+    nonzero lies there; an identity row's multipliers are g**a times row c
+    of the inverse of the panel's U, and the rows past the candidates take
+    theirs from one product with them.  Otherwise, or when the candidates
+    are over a quarter of the rows left, it runs on the whole panel.  The
+    interchanges reach the later columns, the earlier multipliers and the
+    row order once, after the panel.  Above the panels all arithmetic on
+    the work matrix happens in ``_update``: forward substitution among a
+    span of at most ``block`` pivots, then one matrix product for the
+    rows below them.  Every pivot adds k products of at most (p-1)**2 to
+    an entry, so entries are reduced mod p only when the next update
+    could carry them past the float mantissa (delayed modular reduction,
+    as in FFLAS-FFPACK).  The dtype is float32 when ``block`` pivots fit
+    in its 24 bits, float64 otherwise.
 
     The substitution is blocked by runs of ``_RUN`` pivots (at most
     ``block``), aligned to multiples of the run length: a complete run
@@ -231,23 +243,22 @@ class _Echelon:
     lower-triangular multipliers, a partial run pivot by pivot.  Each
     inverse is built once, by the same substitution on an identity
     block, and cached: once a run's last pivot is found its multipliers
-    never change, as later pivots write only rows of ``_lt`` at or after
-    their own and a swap moves only columns at or past the rank.  Every
-    reduction goes through ``_reduce``.
+    never change, as later pivots write only columns of ``_lt`` at or
+    after their own and an interchange moves only rows at or past the
+    rank.  Every reduction goes through ``_reduce``.
 
     Rows start in the fixed hashed order of ``_row_order``, as rank
     ignores row order: in the given coset order neighbouring points
-    often leave a zero on the diagonal, and each such pivot swaps the
-    multiplier columns of two rows: on parallel(3,5) at q = 5, 3,671 of
-    4,096 pivots swap in the given order and 1,012 in the hashed one.
+    often leave a zero on the diagonal, so on parallel(3,5) at q = 5,
+    3,671 of 4,096 pivots interchange rows, against 1,012 hashed.
 
-    Resuming needs only the row permutation and the multipliers: rows
-    k*t to k*t+k-1 of ``_lt`` hold, for every row below pivot t, the
-    transposed multiplication matrix of its multiplier.  A new batch is
+    Resuming needs only the row permutation and the multipliers, held
+    row-major by matrix row: the k x k block of ``_lt`` at work rows
+    k*i.. and columns k*t.. is the multiplication matrix of row i's
+    multiplier at pivot t, for every row i below pivot t.  A new batch is
     permuted and brought up to date by ``_update`` over the pivots
     already found, then eliminated.  ``capacity`` bounds the rank and
-    sizes the multiplier buffer, allocated once; its pages become
-    resident only as pivots are stored.
+    sizes the multiplier buffer, allocated once.
     """
 
     def __init__(self, rows: int, field: Field, capacity: int | None = None, block: int = 256):
@@ -261,141 +272,173 @@ class _Echelon:
         self._room = ((1 << bits) - p) // (p - 1) ** 2
         self._perm = _row_order(rows)
         self._field = field
-        # each element's k digits as one item, so that a gather copies items
-        self._digits = field.digits.view(np.dtype((np.void, field.digits.itemsize * k)))
-        self._digit_dtype = field.digits.dtype
-        self._lt = np.empty(((rows if capacity is None else capacity) * k, rows * k), self.dtype)
+        # each element's k digits in the work dtype as one item: a gather copies items
+        digits = field.digits.astype(self.dtype)
+        self._digits = digits.view(np.dtype((np.void, digits.itemsize * k)))[:, 0]
+        self._lt = np.empty((rows * k, (rows if capacity is None else capacity) * k), self.dtype)
         self._run = min(_RUN, block)
         self._inverses = {}
 
     def _substitute(self, X, c):
         """Forward substitution, in place, of the work rows X of the
-        pivots from work row c on by their multipliers; X is left reduced."""
+        pivots from work row c on by their multipliers; returns X, reduced."""
         p, k, L = self.p, self.k, self._lt
         _reduce(X[:k], p)
         for t in range(k, X.shape[0], k):
             Xt = X[t : t + k]
-            Xt -= L[c : c + t, c + t : c + t + k].T @ X[:t]
+            Xt -= L[c + t : c + t + k, c : c + t] @ X[:t]
             _reduce(Xt, p)
+        return X
 
     def _inverse(self, m):
-        """The inverse mod p of the unit lower-triangular multipliers of
-        the complete run m, built once by substituting an identity block."""
+        """The transposed inverse mod p of the unit lower-triangular
+        multipliers of complete run m, built once by substitution."""
         inv = self._inverses.get(m)
         if inv is None:
             n = self._run * self.k
-            inv = self._inverses[m] = np.eye(n, dtype=self.dtype)
-            self._substitute(inv, m * n)
+            inv = self._inverses[m] = self._substitute(np.eye(n, dtype=self.dtype), m * n).T
         return inv
 
     def _update(self, W, a, b, acc):
-        """Apply pivots a..b-1 to W, whose rows are already permuted and
-        reduced by every earlier pivot, with at most `acc` products
-        pending in any entry; returns the new pending count.
+        """Apply pivots a..b-1 to the transposed batch W, whose columns are
+        already permuted and reduced by every earlier pivot, with at most
+        `acc` products pending in any entry; returns the new pending count.
 
         Pivots go in spans of at most ``block``, ending on a multiple of
-        the run length.  Within a span, each run's rows take the earlier
-        runs' products, then a complete run is solved by one product with
-        its cached inverse and a partial one by substitution; the rows
-        below the span take one product."""
+        the run length.  Within a span, each run's columns take the
+        earlier runs' products, then a complete run is solved by one
+        product with its cached inverse and a partial one by substitution;
+        the columns past the span take one product."""
         p, k, L, run = self.p, self.k, self._lt, self._run
         while a < b:
             e = min(b, a + self.block - (a + self.block) % run)
             c, E = a * k, e * k
             if acc + E - c > self._room:
-                _reduce(W[c:], p)
+                _reduce(W[:, c:], p)
                 acc = 0
             u = a
             while u < e:
                 v = min(e, u - u % run + run)
                 U, V = u * k, v * k
-                X = W[U:V]
-                if U > c:
-                    X -= L[c:U, U:V].T @ W[c:U]
+                # a contiguous copy: strided in-place reductions are slow
+                X = W[:, U:V] - W[:, c:U] @ L[U:V, c:U].T if U > c else W[:, U:V].copy()
                 if v - u == run:
-                    X[:] = _reduce(self._inverse(u // run) @ _reduce(X, p), p)
+                    W[:, U:V] = _reduce(_reduce(X, p) @ self._inverse(u // run), p)
                 else:
-                    self._substitute(X, U)
+                    W[:, U:V] = self._substitute(X.T.copy(), U).T
                 u = v
-            W[E:] -= L[c:E, E:].T @ W[c:E]
+            W[:, E:] -= W[:, c:E] @ L[E:, c:E].T
             acc += E - c
             a = e
         return acc
 
+    def _factor(self, P, L, order, acc, search):
+        """Eliminate the panel P column by column, in place, and return its
+        pivot count: P[c] is column c from the first work row at or past
+        the rank, with at most `acc` products pending; L the multipliers
+        from that row and pivot on; `order` the rows, permuted as they
+        interchange.  Pivots come from the first `search` rows: None if a
+        column has none there while rows lie past them."""
+        p, k = self.p, self.k
+        n, f, pending = P.shape[1] // k, 0, acc
+        for c in range(len(P)):
+            if f == n:
+                break
+            fk = f * k
+            col = _reduce(P[c, fk:], p)
+            if np.count_nonzero(col[:k]):
+                i = 0
+            else:
+                nz = col[: (search - f) * k].nonzero()[0]
+                if nz.size == 0:
+                    if search < n:
+                        return None
+                    continue
+                i = int(nz[0]) // k
+            if i:
+                rows = np.array([*range(fk, fk + k), *range(fk + i * k, fk + i * k + k)])
+                swapped = rows.reshape(2, k)[::-1].ravel()
+                L[rows, :fk] = L[swapped, :fk]
+                P[c:, rows] = P[c:, swapped]
+                order[[f, f + i]] = order[[f + i, f]]
+            F = col.reshape(-1, k)
+            table = _multiplier_table(self._field, F[0].tobytes(), self.dtype)
+            # the multiplication matrix of each multiplier m: column u is m * g**u
+            if k == 1:
+                m = _reduce(F[1:, 0] * table[0, 0, 0], p)
+                L[fk + 1 :, fk] = m
+            else:
+                m = _reduce(F[1:] @ table.transpose(1, 2, 0).reshape(k, k * k), p)
+                m = L[fk + k :, fk : fk + k] = m.reshape(-1, k)
+            f += 1
+            if c + 1 == len(P):
+                break
+            # the later panel columns take this pivot's row, reduced
+            if pending + k > self._room:
+                _reduce(P[c + 1 :, fk:], p)
+                pending = 0
+            else:
+                _reduce(P[c + 1 :, fk : fk + k], p)
+            X, rest = P[c + 1 :, fk : fk + k], P[c + 1 :, fk + k :]
+            if k == 1:
+                rest -= np.multiply.outer(X[:, 0], m)
+            else:
+                rest -= X @ m.T
+            pending += k
+        return f
+
     def _eliminate(self, W, j0, j1, acc):
-        """Find the pivots of columns j0..j1-1 of W, already reduced by
-        every earlier pivot with at most `acc` products pending: one
-        half of the span after the other, down to panels of at most
-        ``_PANEL`` columns."""
-        r = self.rank
-        if r == self._perm.size:
+        """Find the pivots of columns j0..j1-1 of the transposed batch W,
+        already reduced by every earlier pivot with at most `acc` products
+        pending: one half of the span after the other, down to panels of
+        at most ``_PANEL`` columns."""
+        r, n = self.rank, self._perm.size - self.rank
+        if n == 0:
             return
         if j1 - j0 > _PANEL:
             mid = (j0 + j1) // 2
             self._eliminate(W, j0, mid, acc)
-            self._eliminate(W, mid, j1, self._update(W[:, mid:j1], r, self.rank, acc))
+            self._eliminate(W, mid, j1, self._update(W[mid:j1], r, self.rank, acc))
             return
-        p, k, L = self.p, self.k, self._lt
-        r0 = r * k
-        # the panel transposed: P[c] is column j0+c from work row r0 on
-        P = W[r0:, j0:j1].T.copy()
-        pending = acc
-        for c in range(len(P)):
-            r = self.rank
-            if r == self._perm.size:
-                return
-            rk = r * k
-            off = rk - r0
-            col = _reduce(P[c, off:], p)
-            if np.count_nonzero(col[:k]):
-                i = 0
-            else:
-                nz = col.nonzero()[0]
-                if nz.size == 0:
-                    continue
-                i = int(nz[0]) // k
-            if i:
-                rows = np.array([*range(rk, rk + k), *range(rk + i * k, rk + i * k + k)])
-                swapped = rows.reshape(2, k)[::-1].ravel()
-                # the panel's own columns of W are never read again
-                W[rows, j1:] = W[swapped, j1:]
-                L[:rk, rows] = L[:rk, swapped]
-                P[c:, rows - r0] = P[c:, swapped - r0]
-                self._perm[[r, r + i]] = self._perm[[r + i, r]]
-            F = col.reshape(-1, k)
-            table = _multiplier_table(self._field, F[0].tobytes(), self.dtype)
-            # row u of every multiplier's block
-            below, Lr = F[1:], L[rk : rk + k, rk + k :]
-            if k == 1:
-                Lr[0] = _reduce(below[:, 0] * table[0, 0, 0], p)
-            else:
-                for u in range(k):
-                    Lr[u] = _reduce(below @ table[u], p).ravel()
-            self.rank = r + 1
-            if c + 1 == len(P):
-                return
-            # the later panel columns take this pivot's row, reduced
-            if pending + k > self._room:
-                _reduce(P[c + 1 :, off:], p)
-                pending = 0
-            else:
-                _reduce(P[c + 1 :, off : off + k], p)
-            X, rest = P[c + 1 :, off : off + k], P[c + 1 :, off + k :]
-            if k == 1:
-                rest -= np.multiply.outer(X[:, 0], Lr[0])
-            else:
-                rest -= X @ Lr
-            pending += k
+        p, k, b, r0 = self.p, self.k, j1 - j0, r * self.k
+        bk, s, f = b * k, b + _SPARE, None
+        P, L = W[j0:j1, r0:], self._lt[r0:, r0 : r0 + bk]
+        if n > 4 * s:  # else the candidates' copy and product cost more than they save
+            # the candidate rows, then b*k identity rows
+            C = np.zeros((b, (s + bk) * k), self.dtype)
+            C[:, : s * k] = P[:, : s * k]
+            C[:, s * k :].reshape(b, b, k, k)[np.arange(b), np.arange(b)] = np.eye(k)
+            Lc = np.empty(((s + bk) * k, bk), self.dtype)
+            order = np.arange(s + bk)
+            f = self._factor(C, Lc, order, acc, s)
+        if f == b:
+            A = _reduce(P[:, s * k :], p)
+            A = A.T if k == 1 else A.reshape(b, n - s, k).transpose(1, 0, 2).reshape(-1, bk)
+            inv = Lc[s * k :].reshape(bk, -1)  # row (c, a): g**a times row c of U's inverse
+            if bk > self._room:
+                A, inv = A.astype(np.float64), inv.astype(np.float64)
+            L[s * k :] = _reduce(A @ inv, p).reshape(-1, bk)
+            L[: s * k] = Lc[: s * k]
+        else:
+            order = np.arange(n)
+            f = self._factor(P, L, order, acc, n)
+        moved = np.flatnonzero(order != np.arange(order.size))
+        if moved.size:
+            src = order[moved]
+            self._perm[r + moved] = self._perm[r + src]
+            moved, src = [(x[:, None] * k + np.arange(k)).ravel() + r0 for x in (moved, src)]
+            W[j1:, moved] = W[j1:, src]
+            self._lt[moved, :r0] = self._lt[src, :r0]
+        self.rank = r + f
 
     def add_columns(self, cols: np.ndarray) -> int:
         """Feed the columns of a (rows, c) log-representation matrix,
         ZERO = -1 allowed.  Returns the rank of all columns fed so far."""
         if self.rank == self._perm.size or cols.shape[1] == 0:
             return self.rank
-        # gathered first, reading cols in place; (rows, c, k) digits to k rows a row
-        W = self._digits[cols][self._perm].view(self._digit_dtype).transpose(0, 2, 1)
-        W = W.reshape(-1, cols.shape[1]).astype(self.dtype)
-        self._eliminate(W, 0, W.shape[1], self._update(W, 0, self.rank, 0))
+        # one row per column: its logs in row order, then each one's k digits
+        W = self._digits[np.take(cols.T, self._perm, axis=1)].view(self.dtype)
+        self._eliminate(W, 0, W.shape[0], self._update(W, 0, self.rank, 0))
         return self.rank
 
 
@@ -481,11 +524,12 @@ def _hilbert_levels(ps: PointSet, field: Field):
     point column j >= 2, mod q-1, one column at a time, each row only by
     the columns at or after the one that first built it.  Those not seen
     at a lower degree are the next frontier, stacked by the column that
-    built them; they enter one `_Echelon` as new columns.  Before degree d >= 1 is built, the echelon it can
-    fill, at most min(|X|, |seen| + (s-1)|frontier|) distinct rows, is
-    checked against the matrix cap.  H must rise strictly at every
-    degree up to |X| and never pass it; once it reaches |X| it stays
-    there, and nothing more is built or checked.
+    built them; they enter one `_Echelon` as new columns.  Before degree
+    d >= 1 is built, the echelon it can fill, at most
+    min(|X|, |seen| + (s-1)|frontier|) distinct rows, is checked against
+    the matrix cap.  H must rise strictly at every degree up to |X| and
+    never pass it; once it reaches |X| it stays there, and nothing more
+    is built or checked.
     """
     if field.q != ps.q:
         raise ValueError(f"field GF({field.q}) does not match point set over GF({ps.q})")

@@ -685,6 +685,8 @@ def test_cli_invalid_inputs(capsys, tmp_path):
     bool_expect.write_text(json.dumps([{"spec": "cycle(4)", "expect_reg": True}]))
     empty_q = tmp_path / "empty_q.json"
     empty_q.write_text(json.dumps([{"spec": "cycle(4)", "q": []}]))
+    twice_q = tmp_path / "twice_q.json"
+    twice_q.write_text(json.dumps([{"spec": "cycle(4)", "q": [3, 3]}]))
     float_n = tmp_path / "float_n.json"
     float_n.write_text(json.dumps({"n": 2.7, "edges": [[0, 1]]}))
     bool_vertex = tmp_path / "bool_vertex.json"
@@ -723,6 +725,22 @@ def test_cli_invalid_inputs(capsys, tmp_path):
         # an empty q list ran the --q list instead
         ["verify", "--catalog", str(empty_q), "--skip-bounds"],
     ]
+    # field-size lists: an empty or non-integer size printed int()'s
+    # message, and a repeated one ran every instance twice
+    named = [
+        (["verify", "--q", "", "--skip-bounds"], "--q", "''"),
+        (["verify", "--q", "3,,4", "--skip-bounds"], "--q", "''"),
+        (["verify", "--q", "3,x", "--skip-bounds"], "--q", "'x'"),
+        (["verify", "--q", "3, 4", "--skip-bounds"], "--q", "' 4'"),
+        (["verify", "--q", "3,3", "--skip-bounds"], "--q", "field size 3 given twice"),
+        (["verify", "--catalog", str(twice_q), "--skip-bounds"], "'cycle(4)'",
+         "field size 3 given twice"),
+        (["verify", "--catalog", str(text_q), "--skip-bounds"], "'cycle(4)'", "['3']"),
+    ]
+    for argv, where, token in named:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err and token in err, (argv, err)
     cases += [
         ["reg", "cycle(4)", "-q", "6", "--method", method]
         for method in ("all", "rank", "sieve", "formula")

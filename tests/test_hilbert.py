@@ -9,6 +9,7 @@ from toricreg.field import Field, ZERO
 from toricreg.graph import cycle_graph, parallel_composition, path_graph, simplify
 from toricreg.hilbert import (
     _PANEL,
+    _SPARE,
     _Echelon,
     _hilbert_levels,
     _multiplier_table,
@@ -195,8 +196,8 @@ def test_extension_rank_with_large_p(q, block, rank):
 
 @pytest.mark.parametrize("q", PRIME_POWERS_64)
 def test_multiplication_blocks_hold_digits_below_p(q):
-    """`_Echelon.add_columns` casts the looked-up digits without reducing
-    them mod p, so every digit must already lie in [0, p); the last row
+    """`_Echelon` casts the digit table without reducing it mod p, so
+    every digit must already lie in [0, p); the last row
     of the digit table, where ZERO = -1 lands, is zero, and every other
     row packs to the element it stands for.  The multiplier table of a
     pivot, built from those digits, holds the digits of g**(a+u) / pivot
@@ -343,11 +344,13 @@ def test_panel_batches_match_the_reference(q, block):
     and a batch wider than a panel meets row swaps past its first panel.
     A float32 entry has room for 268 products at p = 251 with block 4,
     4 at p = 2039 with block 4 and 1 at p = 4093 with block 1, so a
-    panel reduces between its rank-1 updates."""
+    panel reduces between its rank-1 updates.  One row more than all
+    batches' columns keeps the rank below the row count at any
+    ``_PANEL``."""
     field = Field(q)
     rng = random.Random(q * 1000 + block)
-    m = 48
     widths = [1, _PANEL - 1, _PANEL, _PANEL + 1, 3 * _PANEL + 5]
+    m = sum(widths) + 1
     cols = []
     for w in widths:
         start = len(cols)
@@ -368,6 +371,80 @@ def test_panel_batches_match_the_reference(q, block):
         assert ranks[-1] == rank_reference(logs[:, :hi].tolist(), field), (lo, hi)
     assert echelon._run == 1 or any(r % echelon._run for r in ranks[:-1])
     assert all(a < b for a, b in zip(ranks, ranks[1:])) and echelon.rank < m
+
+
+@pytest.mark.parametrize(
+    "q, block",
+    [(3, 256), (5, 256), (4, 256), (9, 256), (25, 256), (2897, 2), (4093, 1), (251 * 251, 1)],
+)
+def test_candidate_panels_match_the_column_path(monkeypatch, q, block):
+    """A panel factored from its candidate block finds the pivots, row
+    order and multipliers of the per-column routine on the whole panel.
+    Two echelons take the same batches, one with every panel forced onto
+    that routine.  The first batch has random columns.  In the second,
+    one column of the second panel holds a single one, in the echelon's
+    last row, so it is zero on every candidate row.  The third mixes new,
+    zero and scaled columns.  The last only scales columns fed before, so
+    it must leave the rank unchanged.  At p = 2897 with block 2 and
+    p = 4093 with block 1 a float32 entry has room for two products and
+    one, fewer than a panel's product sums."""
+    from toricreg import hilbert
+
+    field = Field(q)
+    k = field.k
+    rng = random.Random(q + block)
+    # the candidates stay under a quarter of the rows left through the second batch
+    m = 4 * (_PANEL + _SPARE) + 8 * _PANEL
+    fast, slow = _Echelon(m, field, block=block), _Echelon(m, field, block=block)
+    outcomes = []
+    factor = _Echelon._factor
+
+    def spy(echelon, P, L, order, acc, search):
+        f = factor(echelon, P, L, order, acc, search)
+        outcomes.append((echelon is fast, search < len(order), f))
+        return f
+
+    monkeypatch.setattr(_Echelon, "_factor", spy)
+    fed = []
+    for width, unit, mixed in [
+        (2 * _PANEL, None, False),
+        (2 * _PANEL, _PANEL + 3, False),
+        (3 * _PANEL + 5, None, True),
+    ]:
+        cols = []
+        for c in range(width):
+            u = rng.random()
+            if c == unit:
+                cols.append([0 if i == fast._perm[-1] else ZERO for i in range(m)])
+            elif mixed and cols and u < 0.5:
+                cols += _scaled_combination_rows(rng, field, cols, 1)
+            elif mixed and u < 0.65:
+                cols.append([ZERO] * m)
+            else:
+                cols += _random_log_matrix(rng, q, 1, m, density=0.6)
+        del outcomes[:]
+        rank = fast.rank
+        logs = np.array(cols).T
+        fast.add_columns(logs)
+        with monkeypatch.context() as forced:
+            forced.setattr(hilbert, "_SPARE", m)
+            slow.add_columns(logs)
+        assert fast.rank == slow.rank > rank
+        assert np.array_equal(fast._perm, slow._perm)
+        n = fast.rank * k
+        read = np.arange(m * k)[:, None] // k > np.arange(n) // k
+        assert np.array_equal(fast._lt[:, :n][read], slow._lt[:, :n][read])
+        assert not any(candidate for is_fast, candidate, _ in outcomes if not is_fast)
+        found = [f for is_fast, candidate, f in outcomes if is_fast and candidate]
+        if unit is not None:  # the column path runs after a candidate panel
+            assert found == [_PANEL, None]
+        elif not mixed:
+            assert found == [_PANEL, _PANEL]
+        fed += cols
+    rank = fast.rank
+    for echelon in (fast, slow):
+        scaled = _scaled_combination_rows(rng, field, fed, _PANEL + 1)
+        assert echelon.add_columns(np.array(scaled).T) == rank
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2039, 2897, 4093])

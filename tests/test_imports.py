@@ -1,7 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and no
+line of the package or its tests is longer than 100 characters.
 
-No linter ships with the package, so this is the unused-import check.
-``__init__.py`` is exempt: it imports names to re-export them.
+No linter ships with the package, so these are the unused-import and
+line-length checks.  ``__init__.py`` is exempt from the first: it imports
+names to re-export them.
 """
 
 import ast
@@ -11,11 +13,10 @@ import pytest
 
 import toricreg
 
-MODULES = sorted(
-    path
-    for path in Path(toricreg.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(toricreg.__file__).parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted([*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+MAX_LINE = 100
 
 
 def _unused_imports(source: str):
@@ -51,3 +52,9 @@ def test_the_check_sees_reads_and_misses():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_line_is_longer_than_the_limit(path):
+    lines = path.read_text().splitlines()
+    assert [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []
