@@ -241,9 +241,9 @@ def load_catalog(path) -> list:
         expect = item.get("expect_reg")
         if expect is not None and type(expect) is not int:
             raise ParseError(f"catalog expect_reg must be an integer, got {expect!r}")
-        entries.append(
-            replace(entry, expect_reg=expect, qs=qs and distinct_field_sizes(qs, where))
-        )
+        if qs is not None:
+            qs = distinct_field_sizes(qs, where)
+        entries.append(replace(entry, expect_reg=expect, qs=qs))
     return entries
 
 
