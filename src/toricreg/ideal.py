@@ -20,16 +20,23 @@ their (q-1)**k residues hold the character group of X.
 dist[rho] = the first d with rho in Reach'(d), by min-plus doubling:
 for each distinct nonzero delta and t < T = (q-2).bit_length(), each
 cell takes the least of itself and its neighbour 2^t*delta back plus
-2^t.  The group is abelian, so one generator at a time is exact, and
-the T steps cover 0..2^T-1 >= q-2 copies of each, enough as
-(q-1)*delta = 0.  Cells start at the sentinel inf = (s-1)(q-2)+2 and
-only take minima, so each ends at the least of inf and its distance.
-A group cell left at inf would leave fewer than |X| cells below inf,
-which the degree-formula check rejects; cells outside the group stay at
-inf, and no read counts them.  Every read is a method of the one table:
-``contains`` and ``level`` read Reach'(d) as {dist <= d} at any degree,
-and ``sieve`` reads an edge with one roll.  For q = 2 every residue is
-0 mod 1, so no vertex is kept and the tensor has no axes: its one cell
+2^t.  The group is abelian, so one generator at a time is exact, in any
+order of the generators and of the axes, and the T steps cover
+0..2^T-1 >= q-2 copies of each, enough as (q-1)*delta = 0.  Cells start
+at the sentinel inf = (s-1)(q-2)+2 and only take minima, so each ends
+at the least of inf and its distance.  A group cell left at inf would
+leave fewer than |X| cells below inf, which the degree-formula check
+rejects; cells outside the group stay at inf, and no read counts them.
+A roll that moves the innermost axis copies runs of under q-1 cells,
+so each delta rolls in an axis order (a permutation of the kept
+vertices) whose two innermost axes it leaves alone: every delta that
+fits runs, and when none left fits, the tensor is transposed once, the
+axes the remaining deltas move most often outermost (with k <= 2, or no
+fit, they run as they are).  The table keeps the final order.  Every
+read is a method of the one table: ``contains`` and ``level`` read
+Reach'(d) as {dist <= d} at any degree, and ``sieve`` reads an edge
+with one roll and unmasked passes, no masked max.  For q = 2 every residue
+is 0 mod 1, so no vertex is kept and the tensor has no axes: its one cell
 is the origin, at distance 0.
 """
 
@@ -118,12 +125,10 @@ def _deltas(g: Multigraph, kept) -> np.ndarray:
     return (chi - chi[0])[:, kept]
 
 
-def _roll(t: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """A fresh copy of t shifted by delta, rolling only the axes it moves."""
-    axes = np.flatnonzero(delta)
-    if not axes.size:
-        return t.copy()
-    return np.roll(t, delta[axes], axis=tuple(axes))
+def _roll(t: np.ndarray, shift) -> np.ndarray:
+    """A fresh copy of t shifted by `shift`, one entry per axis; np.roll
+    moves no axis whose entry is 0."""
+    return np.roll(t, shift, axis=tuple(range(t.ndim))) if t.ndim else t.copy()
 
 
 class ReachTable:
@@ -132,7 +137,9 @@ class ReachTable:
     from the largest finite distance on is the stable one.  The state cap
     and the axis limit are checked before the tensor is allocated, and
     the stable level after it is built; then it is made read-only.
-    The lift rebuilds the dropped coordinates from the kept ones."""
+    ``_kept`` lists the kept vertex of each axis in the doubling's final
+    order; the lift, which rebuilds the dropped coordinates from the kept
+    ones, and the deltas follow it."""
 
     __slots__ = ("g", "q", "_dist", "_inf", "_kept", "_lift", "_deltas")
 
@@ -159,14 +166,28 @@ class ReachTable:
         steps = (q - 2).bit_length()
         dist = np.full((qm1,) * k, inf, np.min_scalar_type(inf + (1 << steps >> 1)))
         dist[(0,) * k] = 0
-        for delta in {tuple(delta) for delta in deltas.tolist()}:
-            for t in range(steps):
-                shift = np.array(delta) * (1 << t) % qm1
-                if not shift.any():
-                    break  # 2^t copies of delta are 0, and so are all longer runs
-                moved = _roll(dist, shift)
-                moved += 1 << t
-                np.minimum(dist, moved, out=dist)
+        todo = [d for d in dict.fromkeys(map(tuple, deltas.tolist())) if any(d)]
+        order = list(range(k))  # tensor axis i holds kept vertex kept[order[i]]
+        while todo:
+            # a shift that leaves the two innermost axes alone rolls runs of (q-1)**2 cells
+            now = [d for d in todo if not any(d[-2:])]
+            if not now and k > 2:
+                moves = [sum(map(bool, axis)) for axis in zip(*todo)]
+                perm = sorted(range(k), key=moves.__getitem__, reverse=True)
+                dist = dist.transpose(perm).copy()
+                order = [order[i] for i in perm]
+                todo = [tuple(d[i] for i in perm) for d in todo]
+                now = [d for d in todo if not any(d[-2:])]
+            now = dict.fromkeys(now or todo)  # no order spares two axes of every shift left
+            todo = [d for d in todo if d not in now]
+            for delta in now:
+                for t in range(steps):
+                    shift = [x * (1 << t) % qm1 for x in delta]
+                    if not any(shift):
+                        break  # 2^t copies of delta are 0, and so are all longer runs
+                    moved = _roll(dist, shift)
+                    moved += 1 << t
+                    np.minimum(dist, moved, out=dist)
         # the cells below inf, the stable level, are the character group of X
         expected = degree_formula(stats, q)
         found = int(np.count_nonzero(dist < inf))
@@ -178,9 +199,9 @@ class ReachTable:
         self.q = q
         self._dist = dist
         self._inf = inf
-        self._kept = kept
-        self._lift = lift
-        self._deltas = deltas
+        self._kept = [kept[i] for i in order]
+        self._lift = lift[order]
+        self._deltas = deltas[:, order]
 
     def contains(self, d: int, residue) -> bool:
         """Whether some degree-d monomial has the given residue vector,
@@ -213,9 +234,11 @@ class ReachTable:
         if not (0 <= edge < self.g.s):
             raise IndexError(f"edge index {edge} out of range")
         back = _roll(self._dist, self._deltas[edge])  # back[x] = dist[x - delta]
-        # off the group back = dist = inf; inf - 1 < inf drops those cells
-        np.minimum(back, self._inf - 1, out=back)
-        return int(np.max(back, where=back >= self._dist, initial=0))
+        # unmasked passes, one mask alive at a time: keep back where
+        # back >= dist, then zero the cells off the group, where back = dist = inf
+        back *= back >= self._dist
+        back *= back != self._inf
+        return int(back.max())
 
 
 def monomial_in_ideal_plus_edge(reach: ReachTable, a, edge: int) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from toricreg.errors import InvalidWitnessError, NotApplicableError
+from toricreg.errors import InvalidWitnessError, NotApplicableError, TooLargeError
 from toricreg.formulas import (
     BipartiteBoundWitness,
     ContractionWitness,
@@ -18,11 +18,14 @@ from toricreg.graph import (
     Multigraph,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     parallel_composition,
     path_graph,
 )
+from toricreg.harness import _formula_for_entry, default_catalog
 from toricreg.hilbert import regularity_rank
+from toricreg.ideal import ReachTable, regularity_sieve
 
 
 def test_reg_parallel_all_six_cases():
@@ -188,3 +191,46 @@ def test_formula_matches_rank_spot_checks():
     for ks, q in (((1, 3), 3), ((2, 2), 4), ((1, 2, 3), 3), ((3, 3), 4)):
         g = parallel_composition(ks)
         assert reg_parallel(ks, q) == regularity_rank(g, q).regularity
+
+
+def test_closed_forms_match_the_sieve_on_every_edge(monkeypatch):
+    """Every catalog instance with a closed form, at q = 3, 4, 5, 7, 8, 9:
+    the value the harness takes equals the sieve on every edge.  At q = 3
+    the factor q-2 is 1, so only the larger fields tell a product by q-2
+    from a quotient.  parallel(4,5) at q = 9, with 8**8 reduced residues,
+    is the one table over the default state cap."""
+    monkeypatch.delenv("TORICREG_MAX_STATES", raising=False)
+    refused = []
+    for q in (3, 4, 5, 7, 8, 9):
+        for entry in default_catalog():
+            fr = _formula_for_entry(entry, q)
+            if not fr.applicable:
+                continue
+            try:
+                reach = ReachTable(entry.graph, q)
+            except TooLargeError as exc:
+                assert "exceed the state cap" in str(exc)
+                refused.append((entry.label, q))
+                continue
+            values = [reach.sieve(e) for e in range(entry.graph.s)]
+            assert values == [fr.value] * entry.graph.s, (entry.label, q, fr.rule)
+    assert refused == [("parallel(4,5)", 9)]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_two_part_multipartite_is_the_biclique(q):
+    for a in range(1, 4):
+        for b in range(a, 4):
+            value = reg_closed_form("biclique", (a, b), q).value
+            assert reg_closed_form("multipartite", (a, b), q).value == value
+            assert regularity_sieve(complete_multipartite(a, b), q) == value
+
+
+@pytest.mark.parametrize("q, k4", [(3, 2), (4, 3), (5, 5), (7, 8)])
+def test_complete_graph_rows_at_the_small_ends(q, k4):
+    # K2 is one edge, of regularity 0; K4 as four parts of one vertex
+    # takes the complete-graph bound ceil(3(q-2)/2)
+    assert reg_closed_form("complete", (2,), q).value == 0
+    assert regularity_sieve(complete_graph(2), q) == 0
+    assert reg_closed_form("multipartite", (1, 1, 1, 1), q).value == k4
+    assert regularity_sieve(complete_multipartite(1, 1, 1, 1), q) == k4

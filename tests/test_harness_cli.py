@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,51 @@ def test_sieve_must_agree_on_every_edge(monkeypatch, tmp_path, capsys):
     catalog.write_text(json.dumps([{"spec": "cycle(4)", "q": [3]}]))
     assert main(["verify", "--catalog", str(catalog), "--skip-bounds"]) == 1
     assert "MISMATCH cycle(4) q=3: rank=1 sieve=1 formula=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["cycle(4)", "disjoint-edges[2]"])
+def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
+    """Rank, sieve, closed form and expected value each read one more than
+    the others, alone, with and without an expected value; cycle(4) has a
+    closed form and disjoint-edges[2] has none."""
+    from types import SimpleNamespace
+
+    from toricreg import harness
+    from toricreg.ideal import ReachTable
+
+    entry = next(e for e in default_catalog() if e.label == spec)
+    report, _ = evaluate_entry(entry, 3, with_bounds=False)
+    value = report.rank
+    assert report.agree and report.sieve == value
+    assert (report.formula == value) == (spec == "cycle(4)")
+    bump = {}  # the route that reads one more
+
+    def rank(g, q, points=None):
+        return SimpleNamespace(regularity=value + bump.get("rank", 0))
+
+    class Sieve(ReachTable):
+        __slots__ = ()
+
+        def sieve(self, edge):
+            return super().sieve(edge) + bump.get("sieve", 0)
+
+    def formula(entry, q):
+        fr = formula_of(entry, q)
+        return replace(fr, value=fr.value + bump["formula"]) if "formula" in bump else fr
+
+    formula_of = harness._formula_for_entry
+    monkeypatch.setattr("toricreg.harness.regularity_rank", rank)
+    monkeypatch.setattr("toricreg.harness.ReachTable", Sieve)
+    monkeypatch.setattr("toricreg.harness._formula_for_entry", formula)
+    routes = ["rank", "sieve", "formula"] if spec == "cycle(4)" else ["rank", "sieve"]
+    for expect in (None, value):
+        for route in routes + ["expect_reg"] * (expect is not None) + [None]:
+            bump.clear()
+            if route:
+                bump[route] = 1
+            reg = None if expect is None else expect + bump.get("expect_reg", 0)
+            report, _ = evaluate_entry(replace(entry, expect_reg=reg), 3, with_bounds=False)
+            assert report.agree is (route is None), (spec, expect, route)
 
 
 def test_python_m_runs_the_cli():

@@ -402,6 +402,92 @@ def test_distance_tensor_matches_the_levels():
     assert checked >= 100
 
 
+def plain_doubling(g, q):
+    """The residue DP without a layout: every distinct delta rolled by
+    min-plus doubling in the one axis order of ``_reduced_coordinates``.
+    Returns (dist, inf, kept, lift, deltas), all in that order."""
+    traversal = ideal._traverse(g)
+    comps, _, odd = traversal
+    stats = GraphStats(n=g.n, m=len(comps), gamma=sum(odd))
+    qm1 = q - 1
+    k = stats.n - stats.m + stats.gamma - 1 if q > 2 else 0
+    if q > 2:
+        kept, lift = ideal._reduced_coordinates(g, traversal, stats)
+    else:
+        kept, lift = [], np.zeros((0, g.n), np.int64)
+    deltas = ideal._deltas(g, kept) % qm1
+    inf = (g.s - 1) * (q - 2) + 2
+    dist = np.full((qm1,) * k, inf, np.int64)
+    dist[(0,) * k] = 0
+    for delta in {tuple(delta) for delta in deltas.tolist()}:
+        for t in range((q - 2).bit_length()):
+            shift = np.array(delta) * (1 << t) % qm1
+            if not shift.any():
+                break
+            axes = np.flatnonzero(shift)
+            moved = np.roll(dist, shift[axes], axis=tuple(axes)) + (1 << t)
+            np.minimum(dist, moved, out=dist)
+    return dist, inf, kept, lift, deltas
+
+
+def plain_reads(g, q, dist, inf, lift, deltas):
+    """level(d) and every edge's sieve value read from a plain tensor as
+    the single-order table read them: a masked max per edge."""
+    def level(d):
+        rows = np.argwhere(dist <= min(d, inf - 1)) @ lift
+        rows[:, list(g.edges[0])] += d
+        return frozenset(map(tuple, (rows % (q - 1)).tolist()))
+
+    values = []
+    for delta in deltas:
+        axes = np.flatnonzero(delta)
+        back = np.roll(dist, delta[axes], axis=tuple(axes)) if axes.size else dist.copy()
+        back = np.minimum(back, inf - 1)
+        values.append(int(np.max(back, where=back >= dist, initial=0)))
+    return level, values
+
+
+def test_layout_matches_the_plain_doubling():
+    """The laid-out table against the plain doubling loop: the tensor
+    cell for cell once its axes are put back in the order of
+    ``_reduced_coordinates``, the sieve on every edge, and on tables of
+    at most 8000 cells levels and membership at several degrees.
+    parallel(1,4,4) at q = 7 transposes its tensor between rolls."""
+    rng = random.Random(20261022)
+    graphs = MIXED_GRAPHS + [_random_multigraph(rng) for _ in range(16)]
+    pairs = [(g, q) for q in (2, 3, 4, 5, 7, 8, 9) for g in graphs]
+    pairs.append((parallel_composition((1, 4, 4)), 7))
+    checked = 0
+    for g, q in pairs:
+        try:
+            reach = ReachTable(g, q)
+        except TooLargeError:
+            continue
+        if reach._dist.size > 300_000:
+            continue
+        dist, inf, kept, lift, deltas = plain_doubling(g, q)
+        assert sorted(reach._kept) == kept and reach._inf == inf
+        assert not reach._dist.flags.writeable
+        undone = reach._dist.transpose([reach._kept.index(v) for v in kept])
+        assert np.array_equal(undone, dist), (g.edges, q)
+        level, values = plain_reads(g, q, dist, inf, lift, deltas)
+        assert [reach.sieve(e) for e in range(g.s)] == values, (g.edges, q)
+        top = max(values) + 1
+        for d in (0, 1, top // 2, top, top + 1) if dist.size <= 8000 else ():
+            expected = level(d)
+            assert reach.level(d) == expected, (g.edges, q, d)
+            probes = {
+                tuple((x + (v == u)) % (q - 1) for v, x in enumerate(r))
+                for r in islice(expected, 5) for u in range(-1, g.n)
+            }
+            for r in probes:
+                assert reach.contains(d, r) == (r in expected), (g.edges, q, d, r)
+        checked += 1
+    assert checked >= 100
+    # the stored order of parallel(1,4,4) at q = 7 is not the plain one
+    assert reach._kept != kept and reach._dist.size == 6**7
+
+
 def test_distance_tensor_widens_past_uint8():
     # closed forms: an odd k-cycle and a tree of s edges are projective
     # tori of regularity (k-1)(q-2) and (s-1)(q-2); the sentinel
