@@ -169,16 +169,17 @@ class ReachTable:
         todo = [d for d in dict.fromkeys(map(tuple, deltas.tolist())) if any(d)]
         order = list(range(k))  # tensor axis i holds kept vertex kept[order[i]]
         while todo:
-            # a shift that leaves the two innermost axes alone rolls runs of (q-1)**2 cells
-            now = [d for d in todo if not any(d[-2:])]
-            if not now and k > 2:
+            # a shift that leaves the two innermost axes alone rolls runs of
+            # (q-1)**2 cells; with k <= 2 every shift moves one of them
+            now = [d for d in todo if not any(d[-2:])] if k > 2 else todo
+            if not now:
                 moves = [sum(map(bool, axis)) for axis in zip(*todo)]
                 perm = sorted(range(k), key=moves.__getitem__, reverse=True)
                 dist = dist.transpose(perm).copy()
                 order = [order[i] for i in perm]
                 todo = [tuple(d[i] for i in perm) for d in todo]
-                now = [d for d in todo if not any(d[-2:])]
-            now = dict.fromkeys(now or todo)  # no order spares two axes of every shift left
+                # no order may spare two axes of every shift left
+                now = [d for d in todo if not any(d[-2:])] or todo
             todo = [d for d in todo if d not in now]
             for delta in now:
                 for t in range(steps):
