@@ -189,6 +189,7 @@ class ReachTable:
                     moved = _roll(dist, shift)
                     moved += 1 << t
                     np.minimum(dist, moved, out=dist)
+                    del moved  # so the next copy is the only one beside dist
         # the cells below inf, the stable level, are the character group of X
         expected = degree_formula(stats, q)
         found = int(np.count_nonzero(dist < inf))
