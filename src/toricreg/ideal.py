@@ -35,9 +35,9 @@ axes the remaining deltas move most often outermost (with k <= 2, or no
 fit, they run as they are).  The table keeps the final order.  Every
 read is a method of the one table: ``contains`` and ``level`` read
 Reach'(d) as {dist <= d} at any degree, and ``sieve`` reads an edge
-with one roll and unmasked passes, no masked max.  For q = 2 every residue
-is 0 mod 1, so no vertex is kept and the tensor has no axes: its one cell
-is the origin, at distance 0.
+with one roll and unmasked passes.  For q = 2 every residue is 0 mod 1,
+so no vertex is kept and the tensor has no axes: its one cell is the
+origin, at distance 0.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ class ReachTable:
     from the largest finite distance on is the stable one.  The state cap
     and the axis limit are checked before the tensor is allocated, and
     the stable level after it is built; then it is made read-only.
-    ``_kept`` lists the kept vertex of each axis in the doubling's final
-    order; the lift, which rebuilds the dropped coordinates from the kept
-    ones, and the deltas follow it."""
+    ``_kept`` lists the kept vertex of each axis in the order the layout
+    of the doubling left (module docstring); the lift, which rebuilds the
+    dropped coordinates from the kept ones, and the deltas follow it."""
 
     __slots__ = ("g", "q", "_dist", "_inf", "_kept", "_lift", "_deltas")
 
