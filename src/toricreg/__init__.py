@@ -4,6 +4,7 @@ projective toric point set parameterized by a multigraph over GF(q).
 Three mutually cross-checking computations: evaluation-matrix ranks,
 a residue-reachability sieve on an Artinian quotient, and closed-form
 family formulas, plus a verification harness for the structural bounds.
+The harness names the three routes once, in its table ``ROUTES``.
 """
 
 from .errors import (

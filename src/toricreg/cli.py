@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: reg, degree, hilbert, member, show, verify.  Monomials on
-the command line are comma-separated exponent lists in edge order; the
-`show` command prints the edge numbering so exponents and --edge flags
-(1-based, matching the variable names t_1..t_s) can be addressed
-unambiguously.
+Subcommands: reg, degree, hilbert, member, show, verify.  `reg` and
+`verify` run the routes of ``harness.ROUTES``, and `reg --method` takes
+one route name or `all`.  Monomials on the command line are
+comma-separated exponent lists in edge order; the `show` command prints
+the edge numbering so exponents and --edge flags (1-based, matching the
+variable names t_1..t_s) can be addressed unambiguously.
 
 Exit codes: 0 on success and agreement, 1 on a verification mismatch,
 2 on invalid input.
@@ -26,7 +27,7 @@ from .field import Field, prime_power
 from .graph import graph_stats
 from .harness import (
     NOT_APPLICABLE,
-    _formula_for_entry,
+    ROUTES,
     default_catalog,
     distinct_field_sizes,
     evaluate_entry,
@@ -37,12 +38,7 @@ from .harness import (
     write_csv,
 )
 from .hilbert import _hilbert_levels, regularity_rank
-from .ideal import (
-    ReachTable,
-    binomial_in_ideal,
-    monomial_in_ideal_plus_edge,
-    regularity_sieve,
-)
+from .ideal import ReachTable, binomial_in_ideal, monomial_in_ideal_plus_edge
 from .points import degree_formula, enumerate_points
 
 
@@ -87,30 +83,24 @@ def _cmd_reg(args) -> int:
                 f"degree: {caps.count_text(report.degree_formula)} (formula), "
                 f"{report.degree_enum} (enumerated)"
             )
-            print(f"rank:    {report.rank}  ({report.rank_ms:.1f} ms)")
-            print(f"sieve:   {report.sieve}  ({report.sieve_ms:.1f} ms)")
-            print(f"formula: {report.formula}  [{report.formula_rule}]")
+            for name, value in report.values.items():
+                shown = (f"[{report.formula_rule}]" if name == "formula"
+                         else f"({report.ms[name]:.1f} ms)")
+                print(f"{name + ':':9s}{value}  {shown}")
             print(f"agreement: {'true' if report.agree else 'false'}")
         return 0 if report.agree else 1
     edge = args.edge - 1 if args.edge is not None else 0
     t0 = time.perf_counter()
-    reason = {}
-    if args.method == "rank":
-        value = regularity_rank(g, args.q).regularity
-    elif args.method == "sieve":
-        value = regularity_sieve(g, args.q, edge=edge)
-    else:
-        fr = _formula_for_entry(entry, args.q)
-        value = fr.value if fr.applicable else NOT_APPLICABLE
-        reason = {} if fr.applicable else {"reason": fr.reason or ""}
+    result = ROUTES[args.method](entry, args.q, edge=edge)
     ms = (time.perf_counter() - t0) * 1000.0
+    reason = {"reason": result.note} if result.value == NOT_APPLICABLE else {}
     if args.json:
         print(json.dumps({"spec": entry.label, "q": args.q, "method": args.method,
-                          "value": value, **reason, "ms": ms}))
+                          "value": result.value, **reason, "ms": ms}))
     elif reason:
-        print(f"formula: {NOT_APPLICABLE} ({reason['reason']})")
+        print(f"{args.method}: {NOT_APPLICABLE} ({result.note})")
     else:
-        print(value)
+        print(result.value)
     return 0
 
 
@@ -192,9 +182,9 @@ def _cmd_verify(args) -> int:
     else:
         for r in result.reports:
             status = "ok" if r.agree else "MISMATCH"
+            routes = " ".join(f"{name}={value}" for name, value in r.values.items())
             print(
-                f"{status:8s} {r.spec} q={r.q}: rank={r.rank} sieve={r.sieve} "
-                f"formula={r.formula} "
+                f"{status:8s} {r.spec} q={r.q}: {routes} "
                 f"degree={caps.count_text(r.degree_formula)}/{r.degree_enum}"
             )
         bad_bounds = [t for t in result.bound_rows if not t[2].satisfied]
@@ -227,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reg", help="regularity of an instance")
     p.add_argument("spec")
     p.add_argument("-q", type=int, required=True)
-    p.add_argument(
-        "--method", choices=("rank", "sieve", "formula", "all"), default="all"
-    )
+    p.add_argument("--method", choices=(*ROUTES, "all"), default="all")
     p.add_argument("--edge", type=int, default=None, help="1-based edge for the sieve")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_reg)

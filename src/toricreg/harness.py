@@ -1,12 +1,15 @@
 """Verification harness: graph DSL, instance catalog, cross-check suite.
 
-Every catalog instance is checked three ways (evaluation-matrix rank,
-residue sieve, closed form) plus a degree cross-check (closed form vs
-brute-force enumeration), and optionally a set of structural bound rows
-with auto-generated witnesses.  The sieve runs on every edge and must
-give one value; the report keeps edge 1's.  Methods that exceed the
-work caps are recorded as NOT_RUN, closed forms outside their guard as
-NOT_APPLICABLE; agreement is judged on the values that are present.
+Every catalog instance is checked by each route of ``ROUTES`` (in order:
+evaluation-matrix rank, residue sieve, closed form) plus a degree
+cross-check (closed form vs brute-force enumeration), and optionally a
+set of structural bound rows with auto-generated witnesses.  The routes
+are named once, in that table: the report, its CSV rows and JSON keys,
+and the CLI's ``--method`` choices loop over it.  The sieve runs on
+every edge and must give one value; the report keeps edge 1's.  Routes
+that exceed the work caps are recorded as NOT_RUN, closed forms outside
+their guard as NOT_APPLICABLE; agreement is judged on the values that
+are present.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 
 from . import caps
@@ -33,7 +36,7 @@ from .formulas import (
 )
 from .graph import FAMILIES, Multigraph, family, graph_stats
 from .hilbert import regularity_rank
-from .ideal import ReachTable
+from .ideal import ReachTable, regularity_sieve
 from .points import degree_formula, enumerate_points
 
 NOT_RUN = "NOT_RUN"
@@ -42,6 +45,7 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 CSV_HEADER = "spec,q,method,value,degree_formula,degree_enum,agree,ms"
 
 _BOUND_POINT_BUDGET = 1024
+_BOUND_ROUTE = "rank"  # the route whose value the bound rows check
 
 
 # -- graph spec DSL -------------------------------------------------------
@@ -111,53 +115,50 @@ def parse_graph_spec(text: str) -> CatalogEntry:
 
 @dataclass(frozen=True)
 class RegularityReport:
+    """One (instance, q) check: each route's value and time in ms, keyed
+    by route name in ``ROUTES`` order."""
+
     spec: str
     q: int
-    rank: int | str
-    sieve: int | str
-    formula: int | str
+    values: dict
     formula_rule: str
-    degree_formula: int
+    degree_formula: int | str
     degree_enum: int | str
     agree: bool
-    rank_ms: float
-    sieve_ms: float
-    formula_ms: float
+    ms: dict
     note: str = ""
 
     def csv_rows(self):
-        out = []
-        for method, value, ms in (
-            ("rank", self.rank, self.rank_ms),
-            ("sieve", self.sieve, self.sieve_ms),
-            ("formula", self.formula, self.formula_ms),
-        ):
-            out.append(
-                [
-                    self.spec,
-                    str(self.q),
-                    method,
-                    str(value),
-                    caps.count_text(self.degree_formula),
-                    str(self.degree_enum),
-                    "true" if self.agree else "false",
-                    f"{ms:.3f}",
-                ]
-            )
-        return out
+        return [
+            [
+                self.spec,
+                str(self.q),
+                method,
+                str(value),
+                caps.count_text(self.degree_formula),
+                str(self.degree_enum),
+                "true" if self.agree else "false",
+                f"{self.ms[method]:.3f}",
+            ]
+            for method, value in self.values.items()
+        ]
 
     def to_json_dict(self):
-        """The fields as JSON values; a degree with more digits than Python
-        writes is its ``caps.count_text`` string."""
-        d = asdict(self)
+        """Flat JSON keys: each route's value by its name, each time as
+        ``<route>_ms``.  A degree with more digits than Python writes is
+        its ``caps.count_text`` string."""
         shown = caps.count_text(self.degree_formula)
-        if not shown.isdecimal():
-            d["degree_formula"] = shown
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d) -> "RegularityReport":
-        return cls(**d)
+        return {
+            "spec": self.spec,
+            "q": self.q,
+            **self.values,
+            "formula_rule": self.formula_rule,
+            "degree_formula": self.degree_formula if shown.isdecimal() else shown,
+            "degree_enum": self.degree_enum,
+            "agree": self.agree,
+            **{f"{name}_ms": ms for name, ms in self.ms.items()},
+            "note": self.note,
+        }
 
 
 def _agreement(values, degree_formula, degree_enum) -> bool:
@@ -308,12 +309,53 @@ def _formula_for_entry(entry: CatalogEntry, q: int):
     return reg_closed_form(entry.kind, entry.params, q)
 
 
+@dataclass(frozen=True)
+class RouteResult:
+    """One route's answer: its value (an int, or NOT_APPLICABLE), the
+    closed form's rule, a note for the report, and every value the route
+    read that must equal it (the sieve reads one per edge)."""
+
+    value: int | str
+    rule: str = ""
+    note: str = ""
+    reads: tuple = ()
+
+
+def _rank_route(entry: CatalogEntry, q: int, points=None, edge=None) -> RouteResult:
+    # without points, regularity_rank checks its cap before it enumerates them
+    return RouteResult(regularity_rank(entry.graph, q, points=points).regularity)
+
+
+def _sieve_route(entry: CatalogEntry, q: int, points=None, edge=None) -> RouteResult:
+    if edge is not None:
+        return RouteResult(regularity_sieve(entry.graph, q, edge=edge))
+    reach = ReachTable(entry.graph, q)
+    values = tuple(reach.sieve(e) for e in range(entry.graph.s))
+    split = next((e for e, v in enumerate(values) if v != values[0]), None)
+    note = "" if split is None else f"sieve on edge {split + 1} gives {values[split]}"
+    return RouteResult(values[0], note=note, reads=values)
+
+
+def _formula_route(entry: CatalogEntry, q: int, points=None, edge=None) -> RouteResult:
+    fr = _formula_for_entry(entry, q)
+    if fr.applicable:
+        return RouteResult(fr.value, fr.rule)
+    return RouteResult(NOT_APPLICABLE, fr.rule, fr.reason or "")
+
+
+# route name -> route(entry, q, points=None, edge=None) -> RouteResult.  A
+# route raises TooLargeError when a cap refuses it.  Rank takes the
+# enumerated points when it has them; the sieve reads only `edge` when
+# given one (0-based), every edge otherwise.  Each body looks up what it
+# calls in this module when it runs, so a patched name takes effect.
+ROUTES = {"rank": _rank_route, "sieve": _sieve_route, "formula": _formula_route}
+
+
 def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tuple:
-    """Run all methods on one (instance, q) pair.  Returns the report and
+    """Run every route on one (instance, q) pair.  Returns the report and
     the list of (bound row) results."""
     g = entry.graph
-    stats = graph_stats(g)
-    deg_formula = degree_formula(stats, q)
+    deg_formula = degree_formula(graph_stats(g), q)
 
     ps = None
     try:
@@ -322,67 +364,39 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
     except TooLargeError:
         deg_enum = NOT_RUN
 
-    t0 = time.perf_counter()
-    try:
-        reach = ReachTable(g, q)
-        edge_values = tuple(reach.sieve(e) for e in range(g.s))
-    except TooLargeError:
-        edge_values = (NOT_RUN,)
-    sieve_value = edge_values[0]
-    sieve_ms = (time.perf_counter() - t0) * 1000.0
-    split = next((e for e, v in enumerate(edge_values) if v != sieve_value), None)
-
-    t0 = time.perf_counter()
-    fr = _formula_for_entry(entry, q)
-    formula_value = fr.value if fr.applicable else NOT_APPLICABLE
-    formula_ms = (time.perf_counter() - t0) * 1000.0
-
-    rank_value = NOT_RUN
-    rank_ms = 0.0
-    if ps is not None:
+    results, ms = {}, {}
+    for name, route in ROUTES.items():
         t0 = time.perf_counter()
         try:
-            rank_value = regularity_rank(g, q, points=ps).regularity
+            results[name] = route(entry, q, points=ps)
         except TooLargeError:
-            pass
-        rank_ms = (time.perf_counter() - t0) * 1000.0
+            results[name] = RouteResult(NOT_RUN)
+        ms[name] = (time.perf_counter() - t0) * 1000.0
 
-    values = [rank_value, sieve_value, formula_value]
+    values = {name: r.value for name, r in results.items()}
+    checked = [v for r in results.values() for v in (r.value, *r.reads)]
+    notes = [r.note for r in results.values()]
     if entry.expect_reg is not None:
-        values.append(entry.expect_reg)
-    agree = split is None and _agreement(values, deg_formula, deg_enum)
-    note = "" if fr.applicable else (fr.reason or "")
-    if split is not None:
-        note = (note + f" sieve on edge {split + 1} gives {edge_values[split]}").strip()
-    if entry.expect_reg is not None:
-        note = (note + f" expected reg {entry.expect_reg}").strip()
-
+        checked.append(entry.expect_reg)
+        notes.append(f"expected reg {entry.expect_reg}")
     report = RegularityReport(
         spec=entry.label,
         q=q,
-        rank=rank_value,
-        sieve=sieve_value,
-        formula=formula_value,
-        formula_rule=fr.rule,
+        values=values,
+        formula_rule="".join(r.rule for r in results.values()),  # only formula has one
         degree_formula=deg_formula,
         degree_enum=deg_enum,
-        agree=agree,
-        rank_ms=rank_ms,
-        sieve_ms=sieve_ms,
-        formula_ms=formula_ms,
-        note=note,
+        agree=_agreement(checked, deg_formula, deg_enum),
+        ms=ms,
+        note=" ".join(note for note in notes if note),
     )
 
+    reg = values[_BOUND_ROUTE]
     bound_rows = []
-    if (
-        with_bounds
-        and ps is not None
-        and isinstance(rank_value, int)
-        and ps.size <= _BOUND_POINT_BUDGET
-    ):
+    if with_bounds and ps is not None and isinstance(reg, int) and ps.size <= _BOUND_POINT_BUDGET:
         for w in auto_witnesses(g, entry.kind, entry.params):
             try:
-                rows = verify_bounds(g, q, rank_value, [w])
+                rows = verify_bounds(g, q, reg, [w])
             except TooLargeError:
                 continue
             bound_rows.extend(rows)
@@ -397,16 +411,12 @@ def _evaluate_job(args):
         report = RegularityReport(
             spec=entry.label,
             q=q,
-            rank=NOT_RUN,
-            sieve=NOT_RUN,
-            formula=NOT_RUN,
+            values=dict.fromkeys(ROUTES, NOT_RUN),
             formula_rule="error",
-            degree_formula=-1,
+            degree_formula=NOT_RUN,
             degree_enum=NOT_RUN,
             agree=False,
-            rank_ms=0.0,
-            sieve_ms=0.0,
-            formula_ms=0.0,
+            ms=dict.fromkeys(ROUTES, 0.0),
             note=f"error: {exc}",
         )
         return report, []
@@ -475,7 +485,3 @@ def write_csv(reports, fh):
 
 def reports_to_json(reports) -> str:
     return json.dumps([r.to_json_dict() for r in reports], indent=2)
-
-
-def parse_reports_json(text: str):
-    return [RegularityReport.from_json_dict(d) for d in json.loads(text)]

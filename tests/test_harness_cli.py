@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,12 +22,12 @@ from toricreg.harness import (
     CatalogEntry,
     NOT_APPLICABLE,
     NOT_RUN,
+    ROUTES,
     RegularityReport,
     default_catalog,
     evaluate_entry,
     load_catalog,
     parse_graph_spec,
-    parse_reports_json,
     reports_to_json,
     verify_suite,
     write_csv,
@@ -109,16 +110,12 @@ def _sample_report():
     return RegularityReport(
         spec="parallel(1,2)",
         q=3,
-        rank=2,
-        sieve=2,
-        formula=2,
+        values={"rank": 2, "sieve": 2, "formula": 2},
         formula_rule="parallel[l=1,r=2]",
         degree_formula=4,
         degree_enum=4,
         agree=True,
-        rank_ms=1.25,
-        sieve_ms=0.5,
-        formula_ms=0.125,
+        ms={"rank": 1.25, "sieve": 0.5, "formula": 0.125},
     )
 
 
@@ -135,10 +132,32 @@ def test_csv_schema_golden():
     assert fh.getvalue().splitlines()[0] == CSV_HEADER
 
 
+# the keys of a report in JSON, in order
+REPORT_KEYS = [
+    "spec", "q", "rank", "sieve", "formula", "formula_rule", "degree_formula",
+    "degree_enum", "agree", "rank_ms", "sieve_ms", "formula_ms", "note",
+]
+
+
 def test_report_json_roundtrip():
-    report = _sample_report()
-    text = reports_to_json([report])
-    assert parse_reports_json(text) == [report]
+    """A report written as JSON reads back as flat keys, in this order."""
+    (payload,) = json.loads(reports_to_json([_sample_report()]))
+    assert list(payload) == REPORT_KEYS
+    assert payload == {
+        "spec": "parallel(1,2)",
+        "q": 3,
+        "rank": 2,
+        "sieve": 2,
+        "formula": 2,
+        "formula_rule": "parallel[l=1,r=2]",
+        "degree_formula": 4,
+        "degree_enum": 4,
+        "agree": True,
+        "rank_ms": 1.25,
+        "sieve_ms": 0.5,
+        "formula_ms": 0.125,
+        "note": "",
+    }
 
 
 # -- suite -----------------------------------------------------------------
@@ -150,7 +169,7 @@ def test_evaluate_entry_agreement():
     )
     report, rows = evaluate_entry(entry, 3)
     assert report.agree
-    assert report.rank == report.sieve == report.formula == 2
+    assert report.values == {"rank": 2, "sieve": 2, "formula": 2}
     assert report.degree_enum == report.degree_formula == 4
     assert all(r.satisfied for r in rows)
 
@@ -162,8 +181,9 @@ def test_evaluate_entry_formula_not_applicable():
         "disjoint-edges[2]", Multigraph(4, [(0, 1), (2, 3)]), "graph"
     )
     report, _ = evaluate_entry(entry, 3)
-    assert report.formula == NOT_APPLICABLE
-    assert isinstance(report.rank, int) and report.rank == report.sieve
+    assert report.values["formula"] == NOT_APPLICABLE
+    assert isinstance(report.values["rank"], int)
+    assert report.values["rank"] == report.values["sieve"]
     assert report.agree  # absent formula does not break agreement
 
 
@@ -222,7 +242,7 @@ def test_verify_suite_small_catalog():
     assert keys == sorted(keys)
     # q = 2: everything is zero and the point set is a single point
     q2 = [r for r in result.reports if r.q == 2]
-    assert all(r.rank == r.sieve == 0 and r.degree_enum == 1 for r in q2)
+    assert all(r.values["rank"] == r.values["sieve"] == 0 and r.degree_enum == 1 for r in q2)
 
 
 def test_verify_suite_process_pool():
@@ -233,8 +253,8 @@ def test_verify_suite_process_pool():
     serial = verify_suite(entries, q_list=(3,), jobs=1)
     pooled = verify_suite(entries, q_list=(3,), jobs=2)
     assert pooled.ok
-    assert [(r.spec, r.q, r.rank, r.sieve, r.formula) for r in pooled.reports] == [
-        (r.spec, r.q, r.rank, r.sieve, r.formula) for r in serial.reports
+    assert [(r.spec, r.q, r.values) for r in pooled.reports] == [
+        (r.spec, r.q, r.values) for r in serial.reports
     ]
 
 
@@ -297,8 +317,9 @@ def test_verify_json_round_trips(capsys, tmp_path):
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps([{"spec": "cycle(4)"}, {"spec": "path(2)", "q": [4]}]))
     assert main(["verify", "--catalog", str(catalog), "--q", "3", "--json"]) == 0
-    reports = parse_reports_json(capsys.readouterr().out)
-    assert [(r.spec, r.q, r.rank, r.sieve, r.agree) for r in reports] == [
+    reports = json.loads(capsys.readouterr().out)
+    assert [list(r) for r in reports] == [REPORT_KEYS] * 2
+    assert [(r["spec"], r["q"], r["rank"], r["sieve"], r["agree"]) for r in reports] == [
         ("cycle(4)", 3, 1, 1, True),
         ("path(2)", 4, 2, 2, True),
     ]
@@ -319,7 +340,7 @@ def test_verify_prints_bound_failures(capsys, monkeypatch, tmp_path):
     assert lines[-1] == "BOUND FAIL path(2) q=3: pendant 3 <= 2 (forced)"
 
 
-def test_verify_records_an_error_as_a_report(monkeypatch):
+def test_verify_records_an_error_as_a_report(monkeypatch, capsys, tmp_path):
     def broken(entry, q, with_bounds=True):
         raise RuntimeError("lost a point")
 
@@ -328,8 +349,21 @@ def test_verify_records_an_error_as_a_report(monkeypatch):
     result = verify_suite([entry], q_list=(3,), jobs=1)
     assert not result.ok and result.bound_rows == []
     (report,) = result.reports
-    assert (report.spec, report.q, report.rank, report.agree) == ("cycle(4)", 3, NOT_RUN, False)
+    assert (report.spec, report.q, report.agree) == ("cycle(4)", 3, False)
+    assert report.values == dict.fromkeys(ROUTES, NOT_RUN)
     assert report.formula_rule == "error" and report.note == "error: lost a point"
+    # nothing computed a degree, so none is printed
+    assert report.degree_formula == report.degree_enum == NOT_RUN
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"spec": "cycle(4)"}]))
+    csv_path = tmp_path / "out.csv"
+    assert main(["verify", "--catalog", str(catalog), "--q", "3", "--report", str(csv_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "MISMATCH cycle(4) q=3: rank=NOT_RUN sieve=NOT_RUN formula=NOT_RUN degree=NOT_RUN/NOT_RUN"
+    )
+    assert csv_path.read_text().splitlines()[1:] == [
+        f"cycle(4),3,{route},NOT_RUN,NOT_RUN,NOT_RUN,false,0.000" for route in ROUTES
+    ]
 
 
 def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
@@ -341,8 +375,8 @@ def test_evaluate_entry_ranks_without_the_sieve(monkeypatch):
     monkeypatch.setattr("toricreg.harness.ReachTable", refused)
     entry = parse_graph_spec("parallel(1,2)")
     report, rows = evaluate_entry(entry, 3)
-    assert report.sieve == NOT_RUN
-    assert report.rank == report.formula == 2 and report.agree
+    assert report.values["sieve"] == NOT_RUN
+    assert report.values["rank"] == report.values["formula"] == 2 and report.agree
     assert rows and all(r.satisfied for r in rows)
 
 
@@ -357,7 +391,7 @@ def test_sieve_must_agree_on_every_edge(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr("toricreg.harness.ReachTable", LastEdgeOff)
     report, _ = evaluate_entry(parse_graph_spec("cycle(4)"), 3, with_bounds=False)
-    assert report.rank == report.sieve == report.formula == 1
+    assert report.values == {"rank": 1, "sieve": 1, "formula": 1}
     assert not report.agree
     assert report.note == "sieve on edge 4 gives 2"
     catalog = tmp_path / "catalog.json"
@@ -378,9 +412,9 @@ def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
 
     entry = next(e for e in default_catalog() if e.label == spec)
     report, _ = evaluate_entry(entry, 3, with_bounds=False)
-    value = report.rank
-    assert report.agree and report.sieve == value
-    assert (report.formula == value) == (spec == "cycle(4)")
+    value = report.values["rank"]
+    assert report.agree and report.values["sieve"] == value
+    assert (report.values["formula"] == value) == (spec == "cycle(4)")
     bump = {}  # the route that reads one more
 
     def rank(g, q, points=None):
@@ -400,7 +434,9 @@ def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
     monkeypatch.setattr("toricreg.harness.regularity_rank", rank)
     monkeypatch.setattr("toricreg.harness.ReachTable", Sieve)
     monkeypatch.setattr("toricreg.harness._formula_for_entry", formula)
-    routes = ["rank", "sieve", "formula"] if spec == "cycle(4)" else ["rank", "sieve"]
+    # every route of the table that gives a value here
+    routes = [name for name, v in report.values.items() if isinstance(v, int)]
+    assert routes == (list(ROUTES) if spec == "cycle(4)" else ["rank", "sieve"])
     for expect in (None, value):
         for route in routes + ["expect_reg"] * (expect is not None) + [None]:
             bump.clear()
@@ -567,12 +603,35 @@ def test_cli_reg_all(capsys):
     assert "agreement: true" in out
 
 
+def test_cli_reg_prints_every_route(capsys, tmp_path):
+    """The whole `reg` text, times masked, for an instance with a closed
+    form and for a file graph without one."""
+    disjoint = tmp_path / "disjoint.json"
+    disjoint.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]]}))
+    for spec, degree, value, formula in (
+        ("cycle(4)", 4, 1, "1  [even_cycle]"),
+        (f"file:{disjoint}", 2, 1, "NOT_APPLICABLE  [detect]"),
+    ):
+        assert main(["reg", spec, "-q", "3"]) == 0
+        out = re.sub(r"\(\d+\.\d ms\)", "(- ms)", capsys.readouterr().out)
+        assert out.splitlines() == [
+            f"spec: {spec}  q=3",
+            f"degree: {degree} (formula), {degree} (enumerated)",
+            f"rank:    {value}  (- ms)",
+            f"sieve:   {value}  (- ms)",
+            f"formula: {formula}",
+            "agreement: true",
+        ]
+    assert main(["reg", "cycle(4)", "-q", "3", "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == REPORT_KEYS
+
+
 def test_cli_reg_json_roundtrip(capsys, tmp_path):
     assert main(["reg", "cycle(4)", "-q", "3", "--method", "all", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rank"] == 1 and payload["agree"] is True
     # every method names the instance by its parsed label, not the raw argument
-    for method in ("all", "rank", "sieve", "formula"):
+    for method in ("all", *ROUTES):
         assert main(["reg", " cycle(4) ", "-q", "3", "--method", method, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["spec"] == "cycle(4)", method
     # a closed form that does not apply is still one JSON object
@@ -702,6 +761,7 @@ def test_cli_internal_inconsistency_exits_1(capsys, monkeypatch, argv, error):
         raise error("routes disagree")
 
     monkeypatch.setattr("toricreg.cli.regularity_rank", broken)
+    monkeypatch.setattr("toricreg.harness.regularity_rank", broken)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: routes disagree\n"

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and no
-line of the package or its tests is longer than 100 characters.
+"""Every name a module of the package or its tests imports is read
+somewhere in that module, and no line of either is longer than 100
+characters.
 
 No linter ships with the package, so these are the unused-import and
 line-length checks.  ``__init__.py`` is exempt from the first: it imports
@@ -14,8 +15,9 @@ import pytest
 import toricreg
 
 PACKAGE = Path(toricreg.__file__).parent
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-SOURCES = sorted([*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py") + TESTS
+SOURCES = sorted([*PACKAGE.glob("*.py"), *TESTS])
 MAX_LINE = 100
 
 
