@@ -1,10 +1,11 @@
 """Degree, Hilbert function and regularity of the graded ring of a
 projective toric point set parameterized by a multigraph over GF(q).
 
-Three mutually cross-checking computations: evaluation-matrix ranks,
-a residue-reachability sieve on an Artinian quotient, and closed-form
-family formulas, plus a verification harness for the structural bounds.
-The harness names the three routes once, in its table ``ROUTES``.
+Four mutually cross-checking computations: evaluation-matrix ranks,
+a residue-reachability sieve on an Artinian quotient, a count of the
+residues reached by each degree, and closed-form family formulas, plus a
+verification harness for the structural bounds.  The harness names the
+four routes once, in its table ``ROUTES``.
 """
 
 from .errors import (
@@ -50,6 +51,7 @@ from .ideal import (
     ear_swap,
     monomial_in_ideal_plus_edge,
     parallel_fg_binomial,
+    regularity_count,
     regularity_sieve,
     residue_of,
 )

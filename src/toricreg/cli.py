@@ -2,10 +2,12 @@
 
 Subcommands: reg, degree, hilbert, member, show, verify.  `reg` and
 `verify` run the routes of ``harness.ROUTES``, and `reg --method` takes
-one route name or `all`.  Monomials on the command line are
-comma-separated exponent lists in edge order; the `show` command prints
-the edge numbering so exponents and --edge flags (1-based, matching the
-variable names t_1..t_s) can be addressed unambiguously.
+one route name or `all`; `hilbert --method` takes `rank` or `count`,
+the two routes that compute the whole Hilbert function.  Monomials on
+the command line are comma-separated exponent lists in edge order; the
+`show` command prints the edge numbering so exponents and --edge flags
+(1-based, matching the variable names t_1..t_s) can be addressed
+unambiguously.
 
 Exit codes: 0 on success and agreement, 1 on a verification mismatch,
 2 on invalid input.
@@ -19,7 +21,7 @@ import json
 import re
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from . import caps
 from .errors import ConsistencyError, ParseError, TooLargeError
@@ -38,7 +40,12 @@ from .harness import (
     write_csv,
 )
 from .hilbert import _hilbert_levels, regularity_rank
-from .ideal import ReachTable, binomial_in_ideal, monomial_in_ideal_plus_edge
+from .ideal import (
+    ReachTable,
+    binomial_in_ideal,
+    monomial_in_ideal_plus_edge,
+    regularity_count,
+)
 from .points import degree_formula, enumerate_points
 
 
@@ -121,9 +128,13 @@ def _cmd_hilbert(args) -> int:
     max_d = args.max_degree
     if max_d is not None and max_d < 0:
         raise ParseError("--max-degree must be nonnegative")
-    if max_d is None:
-        profile = regularity_rank(g, args.q)
+    if args.method == "count" or max_d is None:
+        route = regularity_count if args.method == "count" else regularity_rank
+        profile = route(g, args.q)
         values, target = profile.values, profile.degree
+        if max_d is not None:
+            # H stays |X| past the regularity
+            values = islice(chain(values, repeat(target)), max_d + 1)
     else:
         ps = enumerate_points(g, args.q)
         values, target = islice(_hilbert_levels(ps, Field(args.q)), max_d + 1), ps.size
@@ -232,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("-q", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--method", choices=("rank", "count"), default="rank")
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("member", help="ideal membership tests")

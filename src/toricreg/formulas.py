@@ -3,8 +3,9 @@
 Every closed form carries its applicability guard and returns
 NOT_APPLICABLE instead of extrapolating: the harness exists to surface
 disagreement, not to paper over it.  The bound checkers recompute the
-regularity of derived graphs with the rank method, so each report row is
-an independent cross-check.
+regularity of derived graphs by counting their residue tables
+(``regularity_count``), so each report row checks the instance's value,
+whichever route gave it, against the tables of other graphs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .graph import (
     path_graph,
     simplify,
 )
-from .hilbert import regularity_rank
+from .ideal import regularity_count
 
 
 @dataclass(frozen=True)
@@ -280,18 +281,20 @@ def _row(name, lhs, rhs, relation, detail=""):
 
 
 def _class_reg(lengths, q):
-    """Rank regularity of one parity class: a parallel composition when
-    the class has >= 2 paths, the path itself when it has exactly one."""
+    """Counted regularity of one parity class: a parallel composition
+    when the class has >= 2 paths, the path itself when it has exactly one."""
     if len(lengths) == 1:
         h = path_graph(lengths[0])
     else:
         h = parallel_composition(lengths)
-    return regularity_rank(h, q).regularity
+    return regularity_count(h, q).regularity
 
 
 def verify_bounds(g: Multigraph, q: int, reg: int, witnesses):
     """Check each witnessed bound, recomputing the compared regularities
-    with the rank method.  Returns one BoundRow per witness."""
+    of derived graphs with ``regularity_count``, which raises
+    TooLargeError when the state cap refuses a table.  Returns one
+    BoundRow per witness."""
     rows = []
     for w in witnesses:
         if isinstance(w, PendantWitness):
@@ -299,7 +302,7 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses):
                 reduced = delete_pendant(g, w.vertex)
             except InvalidSpecError as exc:
                 raise InvalidWitnessError(f"pendant witness: {exc}") from exc
-            sub = regularity_rank(reduced, q).regularity
+            sub = regularity_count(reduced, q).regularity
             rows.append(
                 _row("pendant", reg, sub + (q - 2), "==", f"v={w.vertex}")
             )
@@ -308,7 +311,7 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses):
                 merged = identify_vertices(g, w.u, w.v)
             except (InvalidSpecError, EdgeExistsError) as exc:
                 raise InvalidWitnessError(f"contraction witness: {exc}") from exc
-            sub = regularity_rank(merged, q).regularity
+            sub = regularity_count(merged, q).regularity
             rows.append(
                 _row("contraction", reg, sub, ">=", f"identify={w.u},{w.v}")
             )
@@ -318,8 +321,8 @@ def verify_bounds(g: Multigraph, q: int, reg: int, witnesses):
                 raise InvalidWitnessError("cover witness: edges not covered")
             if not (left & right):
                 raise InvalidWitnessError("cover witness: empty intersection")
-            r1 = regularity_rank(edge_subgraph(g, sorted(left)), q).regularity
-            r2 = regularity_rank(edge_subgraph(g, sorted(right)), q).regularity
+            r1 = regularity_count(edge_subgraph(g, sorted(left)), q).regularity
+            r2 = regularity_count(edge_subgraph(g, sorted(right)), q).regularity
             rows.append(
                 _row("cover", reg, r1 + r2, "<=", f"|L|={len(left)},|R|={len(right)}")
             )

@@ -1,15 +1,17 @@
 """Verification harness: graph DSL, instance catalog, cross-check suite.
 
 Every catalog instance is checked by each route of ``ROUTES`` (in order:
-evaluation-matrix rank, residue sieve, closed form) plus a degree
-cross-check (closed form vs brute-force enumeration), and optionally a
-set of structural bound rows with auto-generated witnesses.  The routes
-are named once, in that table: the report, its CSV rows and JSON keys,
-and the CLI's ``--method`` choices loop over it.  The sieve runs on
-every edge and must give one value; the report keeps edge 1's.  Routes
-that exceed the work caps are recorded as NOT_RUN, closed forms outside
-their guard as NOT_APPLICABLE; agreement is judged on the values that
-are present.
+evaluation-matrix rank, residue sieve, residue count, closed form) plus a
+degree cross-check (closed form vs brute-force enumeration), and
+optionally a set of structural bound rows with auto-generated witnesses.
+The routes are named once, in that table: the report, its CSV rows and
+JSON keys, and the CLI's ``--method`` choices loop over it.  The sieve
+runs on every edge and must give one value; the report keeps edge 1's.
+Rank and count return whole Hilbert profiles, which must agree degree by
+degree.  Routes that exceed the work caps are recorded as NOT_RUN,
+closed forms outside their guard as NOT_APPLICABLE; agreement is judged
+on the values that are present.  The bound rows compare the first value
+in route order with the count profiles of derived graphs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .formulas import (
     verify_bounds,
 )
 from .graph import FAMILIES, Multigraph, family, graph_stats
-from .hilbert import regularity_rank
+from .hilbert import HilbertProfile, regularity_rank
 from .ideal import ReachTable, regularity_sieve
 from .points import degree_formula, enumerate_points
 
@@ -43,9 +45,6 @@ NOT_RUN = "NOT_RUN"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 CSV_HEADER = "spec,q,method,value,degree_formula,degree_enum,agree,ms"
-
-_BOUND_POINT_BUDGET = 1024
-_BOUND_ROUTE = "rank"  # the route whose value the bound rows check
 
 
 # -- graph spec DSL -------------------------------------------------------
@@ -168,6 +167,21 @@ def _agreement(values, degree_formula, degree_enum) -> bool:
     if isinstance(degree_enum, int) and degree_enum != degree_formula:
         return False
     return True
+
+
+def _profile_split(profiles) -> str:
+    """'' when every (route, HilbertProfile) pair gives the first one's
+    H at every degree (H stays |X| past the regularity), else a note
+    naming the first degree where one differs."""
+    (first, a), *rest = profiles
+    for name, b in rest:
+        n = max(len(a.values), len(b.values))
+        ha = a.values + (a.degree,) * (n - len(a.values))
+        hb = b.values + (b.degree,) * (n - len(b.values))
+        d = next((d for d in range(n) if ha[d] != hb[d]), None)
+        if d is not None:
+            return f"H({d}) is {ha[d]} by {first}, {hb[d]} by {name}"
+    return ""
 
 
 # -- catalog --------------------------------------------------------------
@@ -312,48 +326,68 @@ def _formula_for_entry(entry: CatalogEntry, q: int):
 @dataclass(frozen=True)
 class RouteResult:
     """One route's answer: its value (an int, or NOT_APPLICABLE), the
-    closed form's rule, a note for the report, and every value the route
-    read that must equal it (the sieve reads one per edge)."""
+    closed form's rule, a note for the report, every value the route
+    read that must equal it (the sieve reads one per edge), and the
+    Hilbert profile it computed, if any (rank and count)."""
 
     value: int | str
     rule: str = ""
     note: str = ""
     reads: tuple = ()
+    profile: HilbertProfile | None = None
 
 
-def _rank_route(entry: CatalogEntry, q: int, points=None, edge=None) -> RouteResult:
+def _rank_route(entry: CatalogEntry, q: int, points=None, edge=None,
+                reach=None) -> RouteResult:
     # without points, regularity_rank checks its cap before it enumerates them
-    return RouteResult(regularity_rank(entry.graph, q, points=points).regularity)
+    profile = regularity_rank(entry.graph, q, points=points)
+    return RouteResult(profile.regularity, profile=profile)
 
 
-def _sieve_route(entry: CatalogEntry, q: int, points=None, edge=None) -> RouteResult:
+def _sieve_route(entry: CatalogEntry, q: int, points=None, edge=None,
+                 reach=None) -> RouteResult:
     if edge is not None:
         return RouteResult(regularity_sieve(entry.graph, q, edge=edge))
-    reach = ReachTable(entry.graph, q)
+    if reach is None:
+        reach = ReachTable(entry.graph, q)
     values = tuple(reach.sieve(e) for e in range(entry.graph.s))
     split = next((e for e, v in enumerate(values) if v != values[0]), None)
     note = "" if split is None else f"sieve on edge {split + 1} gives {values[split]}"
     return RouteResult(values[0], note=note, reads=values)
 
 
-def _formula_route(entry: CatalogEntry, q: int, points=None, edge=None) -> RouteResult:
+def _count_route(entry: CatalogEntry, q: int, points=None, edge=None,
+                 reach=None) -> RouteResult:
+    if reach is None:
+        reach = ReachTable(entry.graph, q)
+    profile = reach.profile()
+    return RouteResult(profile.regularity, profile=profile)
+
+
+def _formula_route(entry: CatalogEntry, q: int, points=None, edge=None,
+                   reach=None) -> RouteResult:
     fr = _formula_for_entry(entry, q)
     if fr.applicable:
         return RouteResult(fr.value, fr.rule)
     return RouteResult(NOT_APPLICABLE, fr.rule, fr.reason or "")
 
 
-# route name -> route(entry, q, points=None, edge=None) -> RouteResult.  A
-# route raises TooLargeError when a cap refuses it.  Rank takes the
-# enumerated points when it has them; the sieve reads only `edge` when
-# given one (0-based), every edge otherwise.  Each body looks up what it
-# calls in this module when it runs, so a patched name takes effect.
-ROUTES = {"rank": _rank_route, "sieve": _sieve_route, "formula": _formula_route}
+# route name -> route(entry, q, points=None, edge=None, reach=None) ->
+# RouteResult.  A route raises TooLargeError when a cap refuses it.  Rank
+# takes the enumerated points when it has them; sieve and count read the
+# residue table `reach`, and build their own when given None.  The sieve
+# reads only `edge` when given one (0-based), every edge otherwise.  Each
+# body looks up what it calls in this module when it runs, so a patched
+# name takes effect.
+ROUTES = {"rank": _rank_route, "sieve": _sieve_route, "count": _count_route,
+          "formula": _formula_route}
 
 
 def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tuple:
-    """Run every route on one (instance, q) pair.  Returns the report and
-    the list of (bound row) results."""
+    """Run every route on one (instance, q) pair.  The points and the
+    residue table are built once, each under its cap, and shared by the
+    routes that read them; a route's ms leaves out their build.  Returns
+    the report and the list of (bound row) results."""
     g = entry.graph
     deg_formula = degree_formula(graph_stats(g), q)
 
@@ -363,12 +397,16 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
         deg_enum = ps.size
     except TooLargeError:
         deg_enum = NOT_RUN
+    try:
+        reach = ReachTable(g, q)
+    except TooLargeError:
+        reach = None
 
     results, ms = {}, {}
     for name, route in ROUTES.items():
         t0 = time.perf_counter()
         try:
-            results[name] = route(entry, q, points=ps)
+            results[name] = route(entry, q, points=ps, reach=reach)
         except TooLargeError:
             results[name] = RouteResult(NOT_RUN)
         ms[name] = (time.perf_counter() - t0) * 1000.0
@@ -379,6 +417,9 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
     if entry.expect_reg is not None:
         checked.append(entry.expect_reg)
         notes.append(f"expected reg {entry.expect_reg}")
+    profiles = [(name, r.profile) for name, r in results.items() if r.profile is not None]
+    split = _profile_split(profiles) if profiles else ""
+    notes.append(split)
     report = RegularityReport(
         spec=entry.label,
         q=q,
@@ -386,14 +427,14 @@ def evaluate_entry(entry: CatalogEntry, q: int, with_bounds: bool = True) -> tup
         formula_rule="".join(r.rule for r in results.values()),  # only formula has one
         degree_formula=deg_formula,
         degree_enum=deg_enum,
-        agree=_agreement(checked, deg_formula, deg_enum),
+        agree=_agreement(checked, deg_formula, deg_enum) and not split,
         ms=ms,
         note=" ".join(note for note in notes if note),
     )
 
-    reg = values[_BOUND_ROUTE]
+    reg = next((v for v in values.values() if isinstance(v, int)), None)
     bound_rows = []
-    if with_bounds and ps is not None and isinstance(reg, int) and ps.size <= _BOUND_POINT_BUDGET:
+    if with_bounds and reg is not None:
         for w in auto_witnesses(g, entry.kind, entry.params):
             try:
                 rows = verify_bounds(g, q, reg, [w])

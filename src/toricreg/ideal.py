@@ -34,10 +34,12 @@ fits runs, and when none left fits, the tensor is transposed once, the
 axes the remaining deltas move most often outermost (with k <= 2, or no
 fit, they run as they are).  The table keeps the final order.  Every
 read is a method of the one table: ``contains`` and ``level`` read
-Reach'(d) as {dist <= d} at any degree, and ``sieve`` reads an edge
-with one roll and unmasked passes.  For q = 2 every residue is 0 mod 1,
-so no vertex is kept and the tensor has no axes: its one cell is the
-origin, at distance 0.
+Reach'(d) as {dist <= d} at any degree, ``profile`` counts it, H(d) =
+#{dist <= d}, up to the largest finite distance, the regularity (the
+lattice picture of Renteria-Simis-Villarreal, Finite Fields Appl.
+2011), and ``sieve`` reads an edge with one roll and unmasked passes.
+For q = 2 every residue is 0 mod 1, so no vertex is kept and the tensor
+has no axes: its one cell is the origin, at distance 0.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .errors import (
     TooLargeError,
 )
 from .graph import GraphStats, Multigraph, ParallelSpec, _traverse, ear_walks
+from .hilbert import HilbertProfile
 from .points import degree_formula
 
 
@@ -141,7 +144,7 @@ class ReachTable:
     of the doubling left (module docstring); the lift, which rebuilds the
     dropped coordinates from the kept ones, and the deltas follow it."""
 
-    __slots__ = ("g", "q", "_dist", "_inf", "_kept", "_lift", "_deltas")
+    __slots__ = ("g", "q", "_dist", "_inf", "_size", "_kept", "_lift", "_deltas")
 
     def __init__(self, g: Multigraph, q: int):
         traversal = _traverse(g)
@@ -201,6 +204,7 @@ class ReachTable:
         self.q = q
         self._dist = dist
         self._inf = inf
+        self._size = expected
         self._kept = [kept[i] for i in order]
         self._lift = lift[order]
         self._deltas = deltas[:, order]
@@ -229,6 +233,25 @@ class ReachTable:
         rows[:, list(self.g.edges[0])] += d
         rows %= self.q - 1
         return frozenset(map(tuple, rows.tolist()))
+
+    def profile(self) -> HilbertProfile:
+        """H(0..reg), H(d) = #{dist <= d} = |Reach(d)|: one count per
+        level, each over one bool mask, so the read holds at most one
+        tensor's worth beside the table.  Asserts H(0) = 1, H strictly
+        increasing and H(reg) = |X|."""
+        values = [int(np.count_nonzero(self._dist == 0))]
+        if values[0] != 1:
+            raise ConsistencyError(f"H(0) = {values[0]}, expected 1")
+        while values[-1] < self._size:
+            h = int(np.count_nonzero(self._dist <= len(values)))
+            if h <= values[-1]:
+                raise ConsistencyError(f"Hilbert function not strictly increasing at degree "
+                                       f"{len(values)}: {values[-1]} then {h}")
+            values.append(h)
+        if values[-1] != self._size:
+            raise ConsistencyError(f"H({len(values) - 1}) = {values[-1]} passes |X| = {self._size}")
+        return HilbertProfile(values=tuple(values), degree=self._size,
+                              regularity=len(values) - 1)
 
     def sieve(self, edge: int) -> int:
         """The regularity read from the vanishing degree of the quotient
@@ -275,6 +298,12 @@ def regularity_sieve(g: Multigraph, q: int, edge: int = 0) -> int:
     if not (0 <= edge < g.s):
         raise IndexError(f"edge index {edge} out of range")
     return ReachTable(g, q).sieve(edge)
+
+
+def regularity_count(g: Multigraph, q: int) -> HilbertProfile:
+    """Hilbert profile and regularity counted from the residue table:
+    H(d) = |Reach(d)|, and the regularity is the largest finite distance."""
+    return ReachTable(g, q).profile()
 
 
 def same_parity_ear_pair(g: Multigraph, i: int, j: int) -> bool:

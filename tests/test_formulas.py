@@ -126,8 +126,8 @@ def test_parity_split_bound():
 
 
 def test_bound_rows_need_no_sieve(monkeypatch):
-    # the bound rows rank their derived graphs on their own, so a refused
-    # sieve, wherever it is bound, never costs a row
+    # the bound rows count their derived graphs' tables on their own, so a
+    # refused sieve, wherever it is bound, never costs a row
     import sys
 
     from toricreg import ideal
@@ -195,7 +195,8 @@ def test_formula_matches_rank_spot_checks():
 
 def test_closed_forms_match_the_sieve_on_every_edge(monkeypatch):
     """Every catalog instance with a closed form, at q = 3, 4, 5, 7, 8, 9:
-    the value the harness takes equals the sieve on every edge.  At q = 3
+    the value the harness takes equals the sieve on every edge and the
+    count.  At q = 3
     the factor q-2 is 1, so only the larger fields tell a product by q-2
     from a quotient.  parallel(4,5) at q = 9, with 8**8 reduced residues,
     is the one table over the default state cap."""
@@ -214,6 +215,7 @@ def test_closed_forms_match_the_sieve_on_every_edge(monkeypatch):
                 continue
             values = [reach.sieve(e) for e in range(entry.graph.s)]
             assert values == [fr.value] * entry.graph.s, (entry.label, q, fr.rule)
+            assert reach.profile().regularity == fr.value, (entry.label, q, fr.rule)
     assert refused == [("parallel(4,5)", 9)]
 
 

@@ -110,12 +110,12 @@ def _sample_report():
     return RegularityReport(
         spec="parallel(1,2)",
         q=3,
-        values={"rank": 2, "sieve": 2, "formula": 2},
+        values={"rank": 2, "sieve": 2, "count": 2, "formula": 2},
         formula_rule="parallel[l=1,r=2]",
         degree_formula=4,
         degree_enum=4,
         agree=True,
-        ms={"rank": 1.25, "sieve": 0.5, "formula": 0.125},
+        ms={"rank": 1.25, "sieve": 0.5, "count": 0.25, "formula": 0.125},
     )
 
 
@@ -126,6 +126,7 @@ def test_csv_schema_golden():
         "spec,q,method,value,degree_formula,degree_enum,agree,ms\n"
         '"parallel(1,2)",3,rank,2,4,4,true,1.250\n'
         '"parallel(1,2)",3,sieve,2,4,4,true,0.500\n'
+        '"parallel(1,2)",3,count,2,4,4,true,0.250\n'
         '"parallel(1,2)",3,formula,2,4,4,true,0.125\n'
     )
     assert fh.getvalue() == expected
@@ -134,8 +135,8 @@ def test_csv_schema_golden():
 
 # the keys of a report in JSON, in order
 REPORT_KEYS = [
-    "spec", "q", "rank", "sieve", "formula", "formula_rule", "degree_formula",
-    "degree_enum", "agree", "rank_ms", "sieve_ms", "formula_ms", "note",
+    "spec", "q", "rank", "sieve", "count", "formula", "formula_rule", "degree_formula",
+    "degree_enum", "agree", "rank_ms", "sieve_ms", "count_ms", "formula_ms", "note",
 ]
 
 
@@ -148,6 +149,7 @@ def test_report_json_roundtrip():
         "q": 3,
         "rank": 2,
         "sieve": 2,
+        "count": 2,
         "formula": 2,
         "formula_rule": "parallel[l=1,r=2]",
         "degree_formula": 4,
@@ -155,6 +157,7 @@ def test_report_json_roundtrip():
         "agree": True,
         "rank_ms": 1.25,
         "sieve_ms": 0.5,
+        "count_ms": 0.25,
         "formula_ms": 0.125,
         "note": "",
     }
@@ -169,7 +172,7 @@ def test_evaluate_entry_agreement():
     )
     report, rows = evaluate_entry(entry, 3)
     assert report.agree
-    assert report.values == {"rank": 2, "sieve": 2, "formula": 2}
+    assert report.values == {"rank": 2, "sieve": 2, "count": 2, "formula": 2}
     assert report.degree_enum == report.degree_formula == 4
     assert all(r.satisfied for r in rows)
 
@@ -359,7 +362,8 @@ def test_verify_records_an_error_as_a_report(monkeypatch, capsys, tmp_path):
     csv_path = tmp_path / "out.csv"
     assert main(["verify", "--catalog", str(catalog), "--q", "3", "--report", str(csv_path)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
-        "MISMATCH cycle(4) q=3: rank=NOT_RUN sieve=NOT_RUN formula=NOT_RUN degree=NOT_RUN/NOT_RUN"
+        "MISMATCH cycle(4) q=3: rank=NOT_RUN sieve=NOT_RUN count=NOT_RUN formula=NOT_RUN "
+        "degree=NOT_RUN/NOT_RUN"
     )
     assert csv_path.read_text().splitlines()[1:] == [
         f"cycle(4),3,{route},NOT_RUN,NOT_RUN,NOT_RUN,false,0.000" for route in ROUTES
@@ -391,22 +395,20 @@ def test_sieve_must_agree_on_every_edge(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr("toricreg.harness.ReachTable", LastEdgeOff)
     report, _ = evaluate_entry(parse_graph_spec("cycle(4)"), 3, with_bounds=False)
-    assert report.values == {"rank": 1, "sieve": 1, "formula": 1}
+    assert report.values == {"rank": 1, "sieve": 1, "count": 1, "formula": 1}
     assert not report.agree
     assert report.note == "sieve on edge 4 gives 2"
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps([{"spec": "cycle(4)", "q": [3]}]))
     assert main(["verify", "--catalog", str(catalog), "--skip-bounds"]) == 1
-    assert "MISMATCH cycle(4) q=3: rank=1 sieve=1 formula=1" in capsys.readouterr().out
+    assert "MISMATCH cycle(4) q=3: rank=1 sieve=1 count=1 formula=1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("spec", ["cycle(4)", "disjoint-edges[2]"])
 def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
-    """Rank, sieve, closed form and expected value each read one more than
-    the others, alone, with and without an expected value; cycle(4) has a
-    closed form and disjoint-edges[2] has none."""
-    from types import SimpleNamespace
-
+    """Rank, sieve, count, closed form and expected value each read one
+    more than the others, alone, with and without an expected value;
+    cycle(4) has a closed form and disjoint-edges[2] has none."""
     from toricreg import harness
     from toricreg.ideal import ReachTable
 
@@ -418,7 +420,8 @@ def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
     bump = {}  # the route that reads one more
 
     def rank(g, q, points=None):
-        return SimpleNamespace(regularity=value + bump.get("rank", 0))
+        profile = rank_of(g, q, points=points)
+        return replace(profile, regularity=profile.regularity + bump.get("rank", 0))
 
     class Sieve(ReachTable):
         __slots__ = ()
@@ -426,17 +429,22 @@ def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
         def sieve(self, edge):
             return super().sieve(edge) + bump.get("sieve", 0)
 
+        def profile(self):
+            profile = super().profile()
+            return replace(profile, regularity=profile.regularity + bump.get("count", 0))
+
     def formula(entry, q):
         fr = formula_of(entry, q)
         return replace(fr, value=fr.value + bump["formula"]) if "formula" in bump else fr
 
     formula_of = harness._formula_for_entry
+    rank_of = harness.regularity_rank
     monkeypatch.setattr("toricreg.harness.regularity_rank", rank)
     monkeypatch.setattr("toricreg.harness.ReachTable", Sieve)
     monkeypatch.setattr("toricreg.harness._formula_for_entry", formula)
     # every route of the table that gives a value here
     routes = [name for name, v in report.values.items() if isinstance(v, int)]
-    assert routes == (list(ROUTES) if spec == "cycle(4)" else ["rank", "sieve"])
+    assert routes == (list(ROUTES) if spec == "cycle(4)" else ["rank", "sieve", "count"])
     for expect in (None, value):
         for route in routes + ["expect_reg"] * (expect is not None) + [None]:
             bump.clear()
@@ -445,6 +453,35 @@ def test_any_one_route_off_alone_breaks_agreement(monkeypatch, spec):
             reg = None if expect is None else expect + bump.get("expect_reg", 0)
             report, _ = evaluate_entry(replace(entry, expect_reg=reg), 3, with_bounds=False)
             assert report.agree is (route is None), (spec, expect, route)
+
+
+def test_rank_and_count_profiles_must_agree_at_every_degree(monkeypatch):
+    """Count's H(1) read one more, its regularity left alone: the values
+    still agree, the profiles do not."""
+    from toricreg.ideal import ReachTable
+
+    class OffAtOne(ReachTable):
+        __slots__ = ()
+
+        def profile(self):
+            profile = super().profile()
+            values = (profile.values[0], profile.values[1] + 1, *profile.values[2:])
+            return replace(profile, values=values)
+
+    monkeypatch.setattr("toricreg.harness.ReachTable", OffAtOne)
+    report, _ = evaluate_entry(parse_graph_spec("cycle(5)"), 3, with_bounds=False)
+    assert report.values == {"rank": 4, "sieve": 4, "count": 4, "formula": 4}
+    assert not report.agree
+    assert report.note == "H(1) is 5 by rank, 6 by count"
+
+
+def test_bound_rows_where_rank_is_refused():
+    """parallel(4,5) at q = 4 is over the rank route's matrix cap; its
+    bound rows compare the count value."""
+    report, rows = evaluate_entry(parse_graph_spec("parallel(4,5)"), 4)
+    assert report.values == {"rank": NOT_RUN, "sieve": 16, "count": 16, "formula": 16}
+    assert report.agree
+    assert rows and all(r.lhs == 16 and r.satisfied for r in rows)
 
 
 def test_python_m_runs_the_cli():
@@ -492,7 +529,8 @@ def test_counts_past_the_digit_limit_are_shown_in_short(capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "degree: 1.5097e+4816 (formula), NOT_RUN (enumerated)"
     assert out[2].startswith("rank:    NOT_RUN ") and out[3].startswith("sieve:   NOT_RUN ")
-    assert out[4:] == ["formula: 15999  [torus]", "agreement: true"]
+    assert out[4].startswith("count:   NOT_RUN ")
+    assert out[5:] == ["formula: 15999  [torus]", "agreement: true"]
     assert main(["reg", "path(16000)", "-q", "3", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["degree_formula"] == "1.5097e+4816" and report["formula"] == 15999
@@ -581,7 +619,7 @@ def test_load_catalog_and_exit_codes(tmp_path, capsys):
     assert code == 0
     lines = report_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 3 * 2
+    assert len(lines) == 1 + 4 * 2
     capsys.readouterr()
 
     bad = tmp_path / "bad_catalog.json"
@@ -619,6 +657,7 @@ def test_cli_reg_prints_every_route(capsys, tmp_path):
             f"degree: {degree} (formula), {degree} (enumerated)",
             f"rank:    {value}  (- ms)",
             f"sieve:   {value}  (- ms)",
+            f"count:   {value}  (- ms)",
             f"formula: {formula}",
             "agreement: true",
         ]
@@ -738,6 +777,18 @@ def test_cli_hilbert(capsys, monkeypatch):
         assert capsys.readouterr().err == "error: rank echelon has 4096 cells, cap is 2000\n"
 
 
+@pytest.mark.parametrize("max_degree", [[], ["--max-degree", "8"], ["--max-degree", "1"]])
+@pytest.mark.parametrize("spec, q", [("cycle(4)", 3), ("parallel(1,2)", 5)])
+def test_cli_hilbert_count_prints_what_rank_prints(capsys, spec, q, max_degree):
+    texts = []
+    for method in ([], ["--method", "rank"], ["--method", "count"]):
+        assert main(["hilbert", spec, "-q", str(q), *method, *max_degree]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] == texts[2]
+    if max_degree:  # H(0..max) and the regularity line
+        assert len(texts[0].splitlines()) == int(max_degree[1]) + 2
+
+
 @pytest.mark.parametrize("max_degree", [[], ["--max-degree", "4"]])
 def test_cli_hilbert_checks_the_profile(capsys, monkeypatch, max_degree):
     # with no rows kept H stays 0; both the full profile and a prefix of it
@@ -849,7 +900,7 @@ def test_cli_invalid_inputs(capsys, tmp_path):
         assert err.startswith("error: ") and where in err and token in err, (argv, err)
     cases += [
         ["reg", "cycle(4)", "-q", "6", "--method", method]
-        for method in ("all", "rank", "sieve", "formula")
+        for method in ("all", *ROUTES)
     ]
     for argv in cases:
         assert main(argv) == 2, argv

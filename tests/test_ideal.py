@@ -26,13 +26,15 @@ from toricreg.graph import (
     path_graph,
     star_graph,
 )
-from toricreg.hilbert import monomials_of_degree
+from toricreg.harness import default_catalog, parse_graph_spec
+from toricreg.hilbert import monomials_of_degree, regularity_rank
 from toricreg.ideal import (
     ReachTable,
     binomial_in_ideal,
     ear_swap,
     monomial_in_ideal_plus_edge,
     parallel_fg_binomial,
+    regularity_count,
     regularity_sieve,
     residue_of,
     same_parity_ear_pair,
@@ -666,3 +668,76 @@ def test_sieve_stays_within_ceiling():
     assert regularity_sieve(g, 5) == 3  # (2/2 + 2/2 - 1)(q-2)
     assert regularity_sieve(g, 4) == 2
     assert issubclass(CeilingExceededError, RuntimeError)
+
+
+# -- count: H(d) = #{dist <= d} -----------------------------------------
+
+
+def test_count_profile_equals_the_rank_profile_on_the_catalog():
+    for entry in default_catalog():
+        assert regularity_count(entry.graph, 3) == regularity_rank(entry.graph, 3), entry.label
+
+
+def test_count_profile_equals_the_rank_profile_on_random_multigraphs():
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(40):
+        g = _random_multigraph(rng)
+        for q in (2, 3, 4, 5):
+            # rank fits, and in milliseconds
+            if degree_formula(graph_stats(g), q) > 512:
+                continue
+            assert regularity_count(g, q) == regularity_rank(g, q), (g.edges, q)
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize(
+    "spec, q, reg",
+    [
+        ("parallel(4,5)", 4, 16),
+        ("parallel(4,5)", 5, 24),
+        ("parallel(1,4,4)", 5, 12),
+        ("parallel(2,2,5)", 5, 18),
+        ("parallel(2,3,4)", 5, 15),
+        ("parallel(2,2,3,3)", 5, 12),
+    ],
+)
+def test_count_answers_where_rank_is_refused(spec, q, reg):
+    g = parse_graph_spec(spec).graph
+    with pytest.raises(TooLargeError, match="rank echelon"):
+        regularity_rank(g, q)
+    profile = regularity_count(g, q)
+    assert profile.regularity == reg and profile.strictly_increasing_then_constant()
+    assert profile.degree == degree_formula(graph_stats(g), q)
+
+
+def test_count_checks_its_invariants():
+    reach = ReachTable(cycle_graph(5), 5)
+    assert reach.profile().values[:2] == (1, 5)
+    dist = reach._dist.copy()
+    dist.flat[np.flatnonzero(dist == 1)[0]] = 0
+    reach._dist = dist
+    with pytest.raises(ConsistencyError, match=r"H\(0\) = 2"):
+        reach.profile()
+    # |X| = 256 is reached at degree 12, and H(10) = 251
+    for size, error in ((257, "not strictly increasing at degree 13"),
+                        (250, r"H\(10\) = 251 passes")):
+        reach = ReachTable(cycle_graph(5), 5)
+        reach._size = size
+        with pytest.raises(ConsistencyError, match=error):
+            reach.profile()
+
+
+def test_count_reads_at_most_one_tensor_beside_the_table():
+    """np.bincount would copy the uint8 tensor to int64, eight tensors'
+    worth; one bool mask per level is one."""
+    reach = ReachTable(parse_graph_spec("parallel(4,5)").graph, 7)
+    tracemalloc.start()
+    try:
+        profile = reach.profile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.regularity == 40
+    assert reach._dist.nbytes == 6**8 and peak <= reach._dist.nbytes + (16 << 10)
