@@ -24,6 +24,7 @@ from .errors import (
 from .field import Field, FieldElem, ZERO
 from .graph import (
     GraphStats,
+    HilbertProfile,
     Multigraph,
     ParallelSpec,
     bipartition,
@@ -34,6 +35,7 @@ from .graph import (
     complete_multipartite,
     connected_components,
     cycle_graph,
+    degree_formula,
     delete_pendant,
     edge_subgraph,
     family,
@@ -44,7 +46,7 @@ from .graph import (
     simplify,
     star_graph,
 )
-from .points import PointSet, degree_formula, enumerate_points, evaluate_monomial
+from .points import PointSet, enumerate_points, evaluate_monomial
 from .ideal import (
     ReachTable,
     binomial_in_ideal,
@@ -55,12 +57,7 @@ from .ideal import (
     regularity_sieve,
     residue_of,
 )
-from .hilbert import (
-    HilbertProfile,
-    hilbert_value,
-    monomials_of_degree,
-    regularity_rank,
-)
+from .hilbert import hilbert_value, monomials_of_degree, regularity_rank
 from .formulas import (
     BipartiteBoundWitness,
     BoundRow,

@@ -26,7 +26,7 @@ from itertools import chain, islice, repeat
 from . import caps
 from .errors import ConsistencyError, ParseError, TooLargeError
 from .field import Field, prime_power
-from .graph import graph_stats
+from .graph import degree_formula, graph_stats
 from .harness import (
     NOT_APPLICABLE,
     ROUTES,
@@ -46,7 +46,7 @@ from .ideal import (
     monomial_in_ideal_plus_edge,
     regularity_count,
 )
-from .points import degree_formula, enumerate_points
+from .points import enumerate_points
 
 
 def _parse_exponents(text: str, s: int):

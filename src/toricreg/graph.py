@@ -8,6 +8,10 @@ document and freeze their ordering.
 Graphs are undirected, loop-free, and may have parallel edges.  Isolated
 vertices are rejected at construction: every invariant computed here
 quantifies over vertices with incident edges.
+
+The module sits below the routes with ``errors`` and ``caps``: it also
+holds the closed-form degree ``degree_formula`` and ``HilbertProfile``,
+which rank and count both use, so neither route imports the other.
 """
 
 from __future__ import annotations
@@ -35,13 +39,15 @@ class Multigraph:
             norm.append((u, w) if u < w else (w, u))
         if not norm:
             raise InvalidSpecError("a graph needs at least one edge")
+        # checked before the n incidence lists exist, so a huge n costs nothing
+        ends = {v for e in norm for v in e}
+        if len(ends) < n:
+            v = next(v for v in range(n) if v not in ends)
+            raise InvalidSpecError(f"vertex {v} is isolated")
         incident = [[] for _ in range(n)]
         for i, (u, w) in enumerate(norm):
             incident[u].append(i)
             incident[w].append(i)
-        for v in range(n):
-            if not incident[v]:
-                raise InvalidSpecError(f"vertex {v} is isolated")
         self.n = n
         self.edges = tuple(norm)
         self._incident = tuple(tuple(ids) for ids in incident)
@@ -123,6 +129,24 @@ class GraphStats:
     n: int
     m: int
     gamma: int
+
+
+@dataclass(frozen=True)
+class HilbertProfile:
+    """Hilbert-function values H(0..reg), the degree |X|, and the
+    regularity (the first degree where H reaches |X|)."""
+
+    values: tuple
+    degree: int
+    regularity: int
+
+    def strictly_increasing_then_constant(self) -> bool:
+        vals = self.values
+        return (
+            vals[0] == 1
+            and all(a < b for a, b in zip(vals, vals[1:]))
+            and vals[-1] == self.degree
+        )
 
 
 def parallel_composition(spec) -> Multigraph:
@@ -277,6 +301,27 @@ def graph_stats(g: Multigraph) -> GraphStats:
     """Component count and number of non-bipartite components."""
     comps, _, odd = _traverse(g)
     return GraphStats(n=g.n, m=len(comps), gamma=sum(odd))
+
+
+def degree_formula(stats: GraphStats, q: int) -> int:
+    """Closed-form cardinality of the point set.
+
+    gamma >= 1, q odd:  (1/2)**(gamma-1) * (q-1)**(n-m+gamma-1)
+    gamma >= 1, q even: (q-1)**(n-m+gamma-1)
+    gamma == 0:         (q-1)**(n-m-1)
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    n, m, gamma = stats.n, stats.m, stats.gamma
+    if gamma == 0:
+        return (q - 1) ** (n - m - 1)
+    power = (q - 1) ** (n - m + gamma - 1)
+    if q % 2 == 0:
+        return power
+    div = 2 ** (gamma - 1)
+    if power % div:
+        raise AssertionError("degree formula produced a non-integer")
+    return power // div
 
 
 def identify_vertices(g: Multigraph, u: int, v: int) -> Multigraph:

@@ -36,10 +36,10 @@ from .formulas import (
     reg_closed_form,
     verify_bounds,
 )
-from .graph import FAMILIES, Multigraph, family, graph_stats
-from .hilbert import HilbertProfile, regularity_rank
+from .graph import FAMILIES, HilbertProfile, Multigraph, degree_formula, family, graph_stats
+from .hilbert import regularity_rank
 from .ideal import ReachTable, regularity_sieve
-from .points import degree_formula, enumerate_points
+from .points import enumerate_points
 
 NOT_RUN = "NOT_RUN"
 NOT_APPLICABLE = "NOT_APPLICABLE"

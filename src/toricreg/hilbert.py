@@ -51,7 +51,6 @@ also checked to equal the number of distinct rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import accumulate, count
 from math import comb
 
@@ -60,8 +59,8 @@ import numpy as np
 from . import caps
 from .errors import CeilingExceededError, ConsistencyError, TooLargeError
 from .field import Field, ZERO
-from .graph import Multigraph, graph_stats
-from .points import PointSet, degree_formula, enumerate_points
+from .graph import HilbertProfile, Multigraph, degree_formula, graph_stats
+from .points import PointSet, enumerate_points
 
 
 def monomials_of_degree(s: int, d: int):
@@ -453,24 +452,6 @@ def gf_rank(cols: np.ndarray, field: Field) -> int:
 
 
 # -- Hilbert function and regularity -------------------------------------
-
-
-@dataclass(frozen=True)
-class HilbertProfile:
-    """Hilbert-function values H(0..reg), the degree |X|, and the
-    regularity (the first degree where H reaches |X|)."""
-
-    values: tuple
-    degree: int
-    regularity: int
-
-    def strictly_increasing_then_constant(self) -> bool:
-        vals = self.values
-        return (
-            vals[0] == 1
-            and all(a < b for a, b in zip(vals, vals[1:]))
-            and vals[-1] == self.degree
-        )
 
 
 def _check_echelon(size: int, distinct: int, k: int, limit: int) -> None:

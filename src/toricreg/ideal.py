@@ -39,7 +39,8 @@ Reach'(d) as {dist <= d} at any degree, ``profile`` counts it, H(d) =
 lattice picture of Renteria-Simis-Villarreal, Finite Fields Appl.
 2011), and ``sieve`` reads an edge with one roll and unmasked passes.
 For q = 2 every residue is 0 mod 1, so no vertex is kept and the tensor
-has no axes: its one cell is the origin, at distance 0.
+has no axes: its one cell is the origin, at distance 0.  The table sees
+q only through q-1: the module imports ``errors``, ``caps`` and ``graph``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,15 @@ from .errors import (
     NotSameParityEarError,
     TooLargeError,
 )
-from .graph import GraphStats, Multigraph, ParallelSpec, _traverse, ear_walks
-from .hilbert import HilbertProfile
-from .points import degree_formula
+from .graph import (
+    GraphStats,
+    HilbertProfile,
+    Multigraph,
+    ParallelSpec,
+    _traverse,
+    degree_formula,
+    ear_walks,
+)
 
 
 def residue_of(g: Multigraph, q: int, a) -> tuple:

@@ -5,7 +5,8 @@ coordinate g**(e_u + e_w).  All coordinates are nonzero, so the point
 lies in the projective torus and we can fix the canonical representative
 whose first coordinate is g**0.  Points are stored as exponent vectors,
 in the smallest unsigned dtype that holds q-2: field arithmetic only
-enters when a monomial is evaluated.
+enters when a monomial is evaluated.  Enumeration is checked against
+the closed-form size |X| of ``graph.degree_formula``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import caps
 from .errors import ConsistencyError, TooLargeError
 from .field import Field, FieldElem
-from .graph import Multigraph, GraphStats, graph_stats
+from .graph import Multigraph, degree_formula, graph_stats
 
 
 class PointSet:
@@ -38,27 +39,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet(q={self.q}, s={self.s}, size={self.size})"
-
-
-def degree_formula(stats: GraphStats, q: int) -> int:
-    """Closed-form cardinality of the point set.
-
-    gamma >= 1, q odd:  (1/2)**(gamma-1) * (q-1)**(n-m+gamma-1)
-    gamma >= 1, q even: (q-1)**(n-m+gamma-1)
-    gamma == 0:         (q-1)**(n-m-1)
-    """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    n, m, gamma = stats.n, stats.m, stats.gamma
-    if gamma == 0:
-        return (q - 1) ** (n - m - 1)
-    power = (q - 1) ** (n - m + gamma - 1)
-    if q % 2 == 0:
-        return power
-    div = 2 ** (gamma - 1)
-    if power % div:
-        raise AssertionError("degree formula produced a non-integer")
-    return power // div
 
 
 def _order_mod(pts: np.ndarray, gen: np.ndarray, qm1: int) -> int:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -47,6 +48,21 @@ def test_multigraph_validation():
         Multigraph(2, [])
     with pytest.raises(InvalidSpecError):
         Multigraph(2, [(0, 5)])
+
+
+def test_an_isolated_vertex_is_found_before_the_vertices_are_allocated():
+    # n = 10**6 first: a regression fails there at ~60 MiB, not at 10**12
+    for n in (10**6, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpecError, match="^vertex 2 is isolated$"):
+                Multigraph(n, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, n
+    with pytest.raises(InvalidSpecError, match="^vertex 1 is isolated$"):
+        Multigraph(5, [(0, 2), (3, 4), (2, 4)])
 
 
 def test_parallel_double_edge():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,6 +102,21 @@ def test_parse_file_graph(tmp_path):
         parse_graph_spec(f"file:{bad}")
     with pytest.raises(OSError):
         parse_graph_spec("file:/nonexistent/file.json")
+
+
+def test_a_graph_file_with_a_huge_vertex_count_exits_2(tmp_path, capsys):
+    # n = 10**6 first: a regression fails there at ~60 MiB, not at 10**12
+    for n in (10**6, 10**12):
+        path = tmp_path / f"huge-{n}.json"
+        path.write_text(json.dumps({"n": n, "edges": [[0, 1]]}))
+        tracemalloc.start()
+        try:
+            assert main(["show", f"file:{path}"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, n
+        assert capsys.readouterr().err == "error: vertex 2 is isolated\n"
 
 
 # -- reports ---------------------------------------------------------------
